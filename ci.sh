@@ -8,6 +8,14 @@ cd "$(dirname "$0")"
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+unformatted="$(gofmt -l $(git ls-files '*.go'))"
+if [[ -n "${unformatted}" ]]; then
+  echo "${unformatted}"
+  echo "files above are not gofmt-clean; run gofmt -w on them"
+  exit 1
+fi
+
 echo "== builtin-shadowing guard =="
 # Shadowing a Go builtin (cap, len, new, ...) compiles fine but silently
 # disables the builtin for the rest of the scope; it has caused real
@@ -23,6 +31,12 @@ fi
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== single-flight release stress smoke =="
+# The panic, error and withdraw paths of every flight.Group site, repeated
+# under the race detector so waiters meet owners in many interleavings.
+go test -race -count=20 -run 'Panic|Wedge|Withdraw|Flight' \
+  ./internal/flight ./internal/compile ./internal/analysis/interproc ./internal/link >/dev/null
 
 echo "== inlinelint (examples must be error-clean) =="
 # The shipped MinC programs are the reference corpus for "no error

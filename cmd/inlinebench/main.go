@@ -18,7 +18,6 @@
 //	-cap N        recursive-space cap for exhaustive experiments (default 2^14)
 //	-jobs N       parallelism: files, subtrees, and experiment cases
 //	              (default GOMAXPROCS; -jobs 1 forces a sequential run)
-//	-workers N    deprecated alias for -jobs
 //	-check        checked compilation: verify IR invariants after every
 //	              inline step and opt pass of every evaluation (slow)
 //	-no-delta     disable the incremental delta-evaluation engine; every
@@ -63,23 +62,22 @@ func main() {
 
 func run() error {
 	var (
-		exp       = flag.String("exp", "all", "experiment id or 'all'")
-		list      = flag.Bool("list", false, "list experiment IDs")
-		scale     = flag.Float64("scale", 1.0, "workload scale")
-		rounds    = flag.Int("rounds", 4, "autotuning rounds")
-		spaceCap  = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
-		jobs      = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
-		workers   = flag.Int("workers", 0, "deprecated alias for -jobs")
-		noMemo    = flag.Bool("no-memo", false, "disable the per-component memoized compile path (for measuring its effect)")
-		noDelta   = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		noPrune   = flag.Bool("no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
-		noShard   = flag.Bool("no-shard", false, "linked-module experiments: one merged compiler instead of per-component shards (differential oracle)")
-		noFnCache = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
+		exp          = flag.String("exp", "all", "experiment id or 'all'")
+		list         = flag.Bool("list", false, "list experiment IDs")
+		scale        = flag.Float64("scale", 1.0, "workload scale")
+		rounds       = flag.Int("rounds", 4, "autotuning rounds")
+		spaceCap     = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
+		jobs         = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
+		noMemo       = flag.Bool("no-memo", false, "disable the per-component memoized compile path (for measuring its effect)")
+		noDelta      = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
+		noPrune      = flag.Bool("no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
+		noShard      = flag.Bool("no-shard", false, "linked-module experiments: one merged compiler instead of per-component shards (differential oracle)")
+		noFnCache    = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
 		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricers evaluate whole configurations instead of repricing incrementally (differential oracle)")
-		cacheDir  = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		check     = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass (slow)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile to this file at exit")
+		cacheDir     = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
+		check        = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass (slow)")
+		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProf      = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -107,9 +105,6 @@ func run() error {
 			}
 		}()
 	}
-	if *jobs == 0 && *workers != 0 {
-		*jobs = *workers
-	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
@@ -123,15 +118,15 @@ func run() error {
 		return err
 	}
 	h := experiments.NewHarness(experiments.Config{
-		Scale:          *scale,
-		Workers:        *jobs,
-		ExhaustiveCap:  *spaceCap,
-		Rounds:         *rounds,
-		DisableMemo:    *noMemo,
-		DisableDelta:   *noDelta,
-		Checked:        *check,
-		DisablePrune:   *noPrune,
-		DisableFnCache: *noFnCache,
+		Scale:             *scale,
+		Workers:           *jobs,
+		ExhaustiveCap:     *spaceCap,
+		Rounds:            *rounds,
+		DisableMemo:       *noMemo,
+		DisableDelta:      *noDelta,
+		Checked:           *check,
+		DisablePrune:      *noPrune,
+		DisableFnCache:    *noFnCache,
 		FnCache:           fncache,
 		DisableShard:      *noShard,
 		DisableCycleDelta: *noCycleDelta,

@@ -27,7 +27,6 @@
 //	                    (with -link the bound applies per component)
 //	-jobs N             parallel subtree evaluations (default GOMAXPROCS;
 //	                    results are bit-identical for every value)
-//	-workers N          deprecated alias for -jobs
 //	-dot                print optimal-vs-heuristic call graphs as DOT
 //	-check              checked compilation: verify IR invariants after
 //	                    every inline step and opt pass of every evaluation
@@ -74,7 +73,6 @@ func run() error {
 		targetName = flag.String("target", "x86", "size model: x86|wasm")
 		maxSpace   = flag.Uint64("max-space", 1<<20, "abort beyond this many evaluations")
 		jobs       = flag.Int("jobs", 0, "parallel subtree evaluations (0 = GOMAXPROCS)")
-		workers    = flag.Int("workers", 0, "deprecated alias for -jobs")
 		dot        = flag.Bool("dot", false, "print DOT call graphs (optimal vs heuristic)")
 		tree       = flag.Bool("tree", false, "print the materialized inlining tree (paper Figure 6)")
 		check      = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass")
@@ -115,9 +113,6 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "inlinesearch: -memprofile:", err)
 			}
 		}()
-	}
-	if *jobs == 0 && *workers != 0 {
-		*jobs = *workers
 	}
 	if *jobs == 0 {
 		*jobs = runtime.GOMAXPROCS(0)

@@ -2,7 +2,8 @@ package interproc
 
 import (
 	"fmt"
-	"sync"
+
+	"optinline/internal/flight"
 )
 
 // coreSchemaVersion is hashed into every SCC content key. Bump it when
@@ -28,74 +29,27 @@ func (s Stats) String() string {
 	return fmt.Sprintf("%d hits, %d misses, %d entries", s.Hits, s.Misses, s.Entries)
 }
 
-// Cache is the corpus-wide single-flight summary cache. Concurrent
-// Analyze calls (daemon requests, parallel harness workers) share one
-// Cache: the first goroutine to need an SCC computes its cores, everyone
-// else blocks on the same entry and reuses the result. A panicking
-// compute withdraws its entry and releases waiters to retry, mirroring
-// the fn-cache discipline, so a failure cannot wedge sharers.
+// Cache is the corpus-wide summary cache, a flight.Group shared by
+// concurrent Analyze calls (daemon requests, parallel harness workers):
+// each SCC's cores are computed once and reused by everyone else.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[Key]*cacheEntry
-	hits    int64
-	misses  int64
-}
-
-type cacheEntry struct {
-	done  chan struct{}
-	cores []Summary
-	valid bool
+	g flight.Group[Key, []Summary]
 }
 
 // NewCache returns an empty summary cache safe for concurrent use.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[Key]*cacheEntry)}
-}
+func NewCache() *Cache { return &Cache{} }
 
 // Stats returns a snapshot of the counters. In-flight computations count
 // as entries; a waiter satisfied by another goroutine's compute counts
 // as a hit.
 func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{Hits: c.hits, Misses: c.misses, Entries: int64(len(c.entries))}
+	st := c.g.Stats()
+	return Stats{Hits: st.Hits, Misses: st.Misses, Entries: int64(c.g.Len())}
 }
 
 // getOrCompute returns the cores cached under key, running compute (and
 // publishing its result) on the first request.
 func (c *Cache) getOrCompute(key Key, compute func() []Summary) []Summary {
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			<-e.done
-			if e.valid {
-				return e.cores
-			}
-			continue // the computing goroutine panicked; retry
-		}
-		e := &cacheEntry{done: make(chan struct{})}
-		c.entries[key] = e
-		c.misses++
-		c.mu.Unlock()
-		return c.fill(key, e, compute)
-	}
-}
-
-// fill runs compute for the entry this goroutine owns. On panic the
-// entry is withdrawn before the panic propagates, so waiters retry
-// instead of blocking forever on a result that will never arrive.
-func (c *Cache) fill(key Key, e *cacheEntry, compute func() []Summary) []Summary {
-	defer func() {
-		if !e.valid {
-			c.mu.Lock()
-			delete(c.entries, key)
-			c.mu.Unlock()
-		}
-		close(e.done)
-	}()
-	e.cores = compute()
-	e.valid = true
-	return e.cores
+	cores, _, _ := c.g.Do(key, func() ([]Summary, error) { return compute(), nil })
+	return cores
 }

@@ -20,6 +20,7 @@ import (
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
 	"optinline/internal/diag"
+	"optinline/internal/flight"
 	"optinline/internal/inline"
 	"optinline/internal/ir"
 	"optinline/internal/opt"
@@ -63,8 +64,13 @@ type Compiler struct {
 	target      codegen.Target
 	fingerprint uint64
 
-	mu    sync.Mutex
-	cache map[string]*sizeEntry // Config.CacheKey -> single-flight slot
+	// sizes is the whole-configuration cache, keyed by Config.CacheKey —
+	// the raw bitset words, O(words) to build and far denser than the
+	// canonical decimal Key. Retention matters as much as speed here: the
+	// cache holds hundreds of thousands of entries on big runs, and a
+	// compact pointer-free key per entry keeps the live heap (and so every
+	// GC scan) small.
+	sizes flight.Group[string, int]
 
 	memo      *memoState
 	memoize   bool
@@ -77,7 +83,6 @@ type Compiler struct {
 	checkErr error // first *CheckError observed by a cached Size path
 
 	evals      atomic.Int64
-	hits       atomic.Int64
 	errors     atomic.Int64
 	funcHits   atomic.Int64
 	funcMisses atomic.Int64
@@ -108,32 +113,6 @@ func (e *CheckError) Error() string {
 
 func (e *CheckError) Unwrap() error { return e.Err }
 
-// sizeEntry is a single-flight slot of the whole-configuration cache.
-type sizeEntry struct {
-	done chan struct{}
-	size int
-}
-
-// lookup finds or creates the single-flight slot for cfg. isNew reports
-// whether the caller owns the computation (and must close e.done).
-//
-// The key is Config.CacheKey — the raw bitset words, O(words) to build and
-// far denser than the canonical decimal Key the old cache sorted out per
-// call. Retention matters as much as speed here: the cache holds hundreds
-// of thousands of entries on big runs, and a compact pointer-free key per
-// entry keeps the live heap (and so every GC scan) small.
-func (c *Compiler) lookup(cfg *callgraph.Config) (e *sizeEntry, isNew bool) {
-	key := cfg.CacheKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.cache[key]; ok {
-		return e, false
-	}
-	e = &sizeEntry{done: make(chan struct{})}
-	c.cache[key] = e
-	return e, true
-}
-
 // New prepares a compiler for the module. The module is cloned defensively;
 // callers may keep using the original. Site IDs are assigned if absent.
 func New(m *ir.Module, target codegen.Target) *Compiler {
@@ -154,7 +133,6 @@ func NewWithOptions(m *ir.Module, target codegen.Target, opts Options) *Compiler
 		graph:       g,
 		target:      target,
 		fingerprint: base.Fingerprint(),
-		cache:       make(map[string]*sizeEntry),
 		memo:        buildMemo(base, g),
 		memoize:     true,
 		delta:       true,
@@ -314,15 +292,15 @@ func (c *Compiler) Build(cfg *callgraph.Config) (*ir.Module, error) {
 // share one compilation (single-flight), so the evaluation counter counts
 // distinct configurations regardless of scheduling.
 func (c *Compiler) Size(cfg *callgraph.Config) int {
-	e, isNew := c.lookup(cfg)
-	if !isNew {
-		<-e.done
-		c.hits.Add(1)
-		return e.size
-	}
-	e.size = c.measure(cfg)
-	close(e.done)
-	return e.size
+	size, _ := c.sizeOf(cfg, func() int { return c.measure(cfg) })
+	return size
+}
+
+// sizeOf looks cfg up in the whole-configuration cache, running miss on the
+// first request; hit reports whether another request computed the size.
+func (c *Compiler) sizeOf(cfg *callgraph.Config, miss func() int) (size int, hit bool) {
+	size, hit, _ = c.sizes.Do(cfg.CacheKey(), func() (int, error) { return miss(), nil })
+	return size, hit
 }
 
 func (c *Compiler) measure(cfg *callgraph.Config) int {
@@ -385,14 +363,14 @@ func (c *Compiler) Evaluations() int64 { return c.evals.Load() }
 
 // CacheHits returns the number of size requests served from the
 // configuration cache.
-func (c *Compiler) CacheHits() int64 { return c.hits.Load() }
+func (c *Compiler) CacheHits() int64 { return c.sizes.Stats().Hits }
 
 // Errors returns the number of configurations that failed to compile.
 func (c *Compiler) Errors() int64 { return c.errors.Load() }
 
 // ConfigCacheStats returns the whole-configuration cache counters.
 func (c *Compiler) ConfigCacheStats() stats.CacheStats {
-	return stats.CacheStats{Hits: c.hits.Load(), Misses: c.evals.Load()}
+	return stats.CacheStats{Hits: c.CacheHits(), Misses: c.evals.Load()}
 }
 
 // FuncCacheStats returns the per-function memo cache counters; a hit means

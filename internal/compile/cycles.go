@@ -10,6 +10,7 @@ import (
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
+	"optinline/internal/flight"
 	"optinline/internal/inline"
 	"optinline/internal/interp"
 	"optinline/internal/ir"
@@ -114,36 +115,22 @@ type CyclePricer struct {
 	hits        map[int]int64 // candidate site -> profiled frames
 	events      []cycEvent
 
-	mu    sync.Mutex
-	cache map[string]*cycEntry
-
-	costMu sync.Mutex
-	costs  map[FnKey]*costEntry
+	cache flight.Group[string, int64]         // Config.CacheKey -> cycles
+	costs flight.Group[FnKey, closureCostVal] // closureKey -> final body cost
 
 	simPool sync.Pool
 
 	repricings   atomic.Int64
 	fullEvals    atomic.Int64
-	cacheHits    atomic.Int64
 	replayEvents atomic.Int64
-	costHits     atomic.Int64
-	costMisses   atomic.Int64
 }
 
-// cycEntry is a single-flight slot of the per-configuration cycle cache.
-type cycEntry struct {
-	done   chan struct{}
-	cycles int64
-}
-
-// costEntry is a single-flight slot of the per-closure cost cache: the
-// static per-entry cycle cost and encoded size of one final function body.
-type costEntry struct {
-	done   chan struct{}
-	cost   int64
-	size   int32
-	ok     bool
-	failed bool // computation panicked and was withdrawn; waiters retry
+// closureCostVal is the static per-entry cycle cost and encoded size of one
+// final function body; ok is false when its closure failed to compile.
+type closureCostVal struct {
+	cost int64
+	size int32
+	ok   bool
 }
 
 // NewCyclePricer builds a pricer for this compiler from a profile collected
@@ -163,8 +150,6 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 		delta:       true,
 		entriesBase: []int64(nil),
 		hits:        map[int]int64{},
-		cache:       map[string]*cycEntry{},
-		costs:       map[FnKey]*costEntry{},
 	}
 	cp.simPool.New = func() any { return interp.NewCacheSim(cacheBytes) }
 
@@ -225,13 +210,14 @@ func (p *CyclePricer) Events() int { return len(p.events) }
 
 // Stats returns the engine's counters.
 func (p *CyclePricer) Stats() CyclePricerStats {
+	costs := p.costs.Stats()
 	return CyclePricerStats{
 		Repricings:   p.repricings.Load(),
 		FullEvals:    p.fullEvals.Load(),
-		CacheHits:    p.cacheHits.Load(),
+		CacheHits:    p.cache.Stats().Hits,
 		ReplayEvents: p.replayEvents.Load(),
-		CostHits:     p.costHits.Load(),
-		CostMisses:   p.costMisses.Load(),
+		CostHits:     costs.Hits,
+		CostMisses:   costs.Misses,
 	}
 }
 
@@ -267,50 +253,20 @@ func (p *CyclePricer) bodyCost(fn *ir.Function) int64 {
 }
 
 // closureCost returns fi's per-entry cost and size under cfg, compiling the
-// inline closure at most once per content key (single-flight; the key is
-// the same content-addressed closureKey the size memo uses, so equal keys
-// imply bit-identical final bodies).
+// inline closure at most once per content key (the key is the same
+// content-addressed closureKey the size memo uses, so equal keys imply
+// bit-identical final bodies).
 func (p *CyclePricer) closureCost(fi *funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
 	members, _ := p.c.memo.closure(fi, cfg)
-	key := p.c.closureKey(fi, members, cfg)
-	for {
-		p.costMu.Lock()
-		if e, ok := p.costs[key]; ok {
-			p.costMu.Unlock()
-			<-e.done
-			if e.failed {
-				continue
-			}
-			p.costHits.Add(1)
-			return e.cost, e.size, e.ok
-		}
-		e := &costEntry{done: make(chan struct{})}
-		p.costs[key] = e
-		p.costMu.Unlock()
-
-		p.costMisses.Add(1)
-		panicked := true
-		func() {
-			defer func() {
-				if panicked {
-					p.costMu.Lock()
-					delete(p.costs, key)
-					p.costMu.Unlock()
-					e.failed = true
-					close(e.done)
-				}
-			}()
-			e.cost, e.size, e.ok = p.compileClosureCost(fi, members, cfg)
-			panicked = false
-		}()
-		close(e.done)
-		return e.cost, e.size, e.ok
-	}
+	v, _, _ := p.costs.Do(p.c.closureKey(fi, members, cfg), func() (closureCostVal, error) {
+		return p.compileClosureCost(fi, members, cfg), nil
+	})
+	return v.cost, v.size, v.ok
 }
 
 // compileClosureCost is compileClosure returning the final body's per-entry
 // cost and size instead of just the size.
-func (p *CyclePricer) compileClosureCost(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
+func (p *CyclePricer) compileClosureCost(fi *funcInfo, members []*funcInfo, cfg *callgraph.Config) closureCostVal {
 	c := p.c
 	sub := ir.NewModule(c.base.Name)
 	for _, g := range c.base.Globals {
@@ -320,11 +276,11 @@ func (p *CyclePricer) compileClosureCost(fi *funcInfo, members []*funcInfo, cfg 
 		sub.AddFunc(c.base.Func(m.name).Clone())
 	}
 	if err := inline.Apply(sub, cfg, inline.Options{}); err != nil {
-		return 0, 0, false
+		return closureCostVal{}
 	}
 	fn := sub.Func(fi.name)
 	opt.Function(fn)
-	return p.bodyCost(fn), int32(codegen.FunctionSize(fn, c.target)), true
+	return closureCostVal{cost: p.bodyCost(fn), size: int32(codegen.FunctionSize(fn, c.target)), ok: true}
 }
 
 // replay re-simulates the LRU i-cache over the profiled touch sequence:
@@ -372,20 +328,20 @@ func (h *Cycled) Config() *callgraph.Config { return h.cfg.Clone() }
 // Cycles prices one configuration, compiling at most once per canonical
 // configuration (single-flight, like Compiler.Size).
 func (p *CyclePricer) Cycles(cfg *callgraph.Config) int64 {
-	e, isNew := p.lookup(cfg)
-	if !isNew {
-		<-e.done
-		p.cacheHits.Add(1)
-		return e.cycles
-	}
-	if p.DeltaEnabled() {
-		h := p.pricedMiss(cfg)
-		e.cycles = h.total
-	} else {
-		e.cycles = p.fullCycles(cfg)
-	}
-	close(e.done)
-	return e.cycles
+	cycles, _ := p.cyclesOf(cfg, func() int64 {
+		if p.DeltaEnabled() {
+			return p.pricedMiss(cfg).total
+		}
+		return p.fullCycles(cfg)
+	})
+	return cycles
+}
+
+// cyclesOf looks cfg up in the per-configuration cycle cache, running miss
+// on the first request; hit reports whether another request priced it.
+func (p *CyclePricer) cyclesOf(cfg *callgraph.Config, miss func() int64) (cycles int64, hit bool) {
+	cycles, hit, _ = p.cache.Do(cfg.CacheKey(), func() (int64, error) { return miss(), nil })
+	return cycles, hit
 }
 
 // Priced evaluates cfg and returns the handle the delta calls start from.
@@ -393,31 +349,18 @@ func (p *CyclePricer) Priced(cfg *callgraph.Config) *Cycled {
 	if !p.DeltaEnabled() {
 		return &Cycled{cfg: cfg.Clone(), total: p.Cycles(cfg), full: true}
 	}
-	e, isNew := p.lookup(cfg)
-	if !isNew {
-		<-e.done
-		p.cacheHits.Add(1)
-		if e.cycles == InfCycles {
-			return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
-		}
-		return p.contribCycled(cfg) // cost cache resident: a walk, not a compile
+	var h *Cycled
+	cycles, hit := p.cyclesOf(cfg, func() int64 {
+		h = p.pricedMiss(cfg)
+		return h.total
+	})
+	if !hit {
+		return h
 	}
-	h := p.pricedMiss(cfg)
-	e.cycles = h.total
-	close(e.done)
-	return h
-}
-
-func (p *CyclePricer) lookup(cfg *callgraph.Config) (e *cycEntry, isNew bool) {
-	key := cfg.CacheKey()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if e, ok := p.cache[key]; ok {
-		return e, false
+	if cycles == InfCycles {
+		return &Cycled{cfg: cfg.Clone(), total: InfCycles, full: true}
 	}
-	e = &cycEntry{done: make(chan struct{})}
-	p.cache[key] = e
-	return e, true
+	return p.contribCycled(cfg) // cost cache resident: a walk, not a compile
 }
 
 // pricedMiss prices cfg from scratch on the incremental path, recording
@@ -504,15 +447,8 @@ func (p *CyclePricer) CyclesDelta(base *Cycled, toggles []int) int64 {
 	if base.full || !p.DeltaEnabled() {
 		return p.Cycles(cfg)
 	}
-	e, isNew := p.lookup(cfg)
-	if !isNew {
-		<-e.done
-		p.cacheHits.Add(1)
-		return e.cycles
-	}
-	e.cycles = p.measureCycleDelta(base, cfg, toggles, nil)
-	close(e.done)
-	return e.cycles
+	cycles, _ := p.cyclesOf(cfg, func() int64 { return p.measureCycleDelta(base, cfg, toggles, nil) })
+	return cycles
 }
 
 // CyclesDeltaParallel prices many toggle sets against the same base
@@ -564,21 +500,14 @@ func (p *CyclePricer) Rebase(base *Cycled, toggles []int) *Cycled {
 		perEnt:  append([]int64(nil), base.perEnt...),
 		sizes:   append([]int32(nil), base.sizes...),
 	}
-	e, isNew := p.lookup(cfg)
-	if isNew {
-		e.cycles = p.measureCycleDelta(base, cfg, toggles, h)
-		close(e.done)
-	} else {
-		<-e.done
-		p.cacheHits.Add(1)
-		if e.cycles != InfCycles {
-			p.applyCycleDelta(base, cfg, toggles, h)
-		}
-	}
-	if e.cycles == InfCycles {
+	cycles, hit := p.cyclesOf(cfg, func() int64 { return p.measureCycleDelta(base, cfg, toggles, h) })
+	if cycles == InfCycles {
 		return &Cycled{cfg: cfg, total: InfCycles, full: true}
 	}
-	h.total = e.cycles
+	if hit {
+		p.applyCycleDelta(base, cfg, toggles, h)
+	}
+	h.total = cycles
 	return h
 }
 

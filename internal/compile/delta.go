@@ -76,15 +76,14 @@ func (c *Compiler) Sized(cfg *callgraph.Config) *Sized {
 	if !c.DeltaEnabled() {
 		return &Sized{cfg: cfg.Clone(), total: c.Size(cfg), full: true}
 	}
-	e, isNew := c.lookup(cfg)
-	if !isNew {
-		<-e.done
-		c.hits.Add(1)
-		return c.handleFor(cfg, e.size)
+	var h *Sized
+	size, hit := c.sizeOf(cfg, func() int {
+		h = c.newHandle(cfg)
+		return h.total
+	})
+	if hit {
+		return c.handleFor(cfg, size)
 	}
-	h := c.newHandle(cfg)
-	e.size = h.total
-	close(e.done)
 	return h
 }
 
@@ -109,15 +108,8 @@ func (c *Compiler) SizeDelta(base *Sized, toggles []int) int {
 	if base.full || !c.DeltaEnabled() {
 		return c.Size(cfg)
 	}
-	e, isNew := c.lookup(cfg)
-	if !isNew {
-		<-e.done
-		c.hits.Add(1)
-		return e.size
-	}
-	e.size = c.measureDelta(base, cfg, toggles, nil)
-	close(e.done)
-	return e.size
+	size, _ := c.sizeOf(cfg, func() int { return c.measureDelta(base, cfg, toggles, nil) })
+	return size
 }
 
 // SizeDeltaParallel prices many toggle sets against the same base
@@ -166,21 +158,14 @@ func (c *Compiler) Rebase(base *Sized, toggles []int) *Sized {
 	}
 	contrib := make([]int, len(base.contrib))
 	copy(contrib, base.contrib)
-	e, isNew := c.lookup(cfg)
-	if isNew {
-		e.size = c.measureDelta(base, cfg, toggles, contrib)
-		close(e.done)
-	} else {
-		<-e.done
-		c.hits.Add(1)
-		if e.size != InfSize {
-			c.applyDelta(base, cfg, toggles, contrib)
-		}
-	}
-	if e.size == InfSize {
+	size, hit := c.sizeOf(cfg, func() int { return c.measureDelta(base, cfg, toggles, contrib) })
+	if size == InfSize {
 		return &Sized{cfg: cfg, total: InfSize, full: true}
 	}
-	return &Sized{cfg: cfg, total: e.size, contrib: contrib}
+	if hit {
+		c.applyDelta(base, cfg, toggles, contrib)
+	}
+	return &Sized{cfg: cfg, total: size, contrib: contrib}
 }
 
 // measureDelta is the miss path of SizeDelta/Rebase: it mirrors measure()'s

@@ -1,7 +1,6 @@
 package compile
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -11,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"optinline/internal/flight"
 	"optinline/internal/ir"
 )
 
@@ -47,7 +47,7 @@ import (
 //     clone→inline→opt→codegen semantics, and the target byte pins the
 //     size model.
 //
-// The in-memory cache is single-flight, like both memo levels: concurrent
+// The in-memory cache is a flight.Group, like both memo levels: concurrent
 // compilers sharing one FnCache that race on a new key perform one
 // compilation. The optional on-disk store is an append-only log of
 // fixed-size checksummed records: every newly computed entry is appended
@@ -116,30 +116,11 @@ const defaultFsyncEvery = 64
 // ignorable.
 type FnKey struct{ Hi, Lo uint64 }
 
-// fnEntry is a single-flight slot. Entries loaded from disk are born ready
-// (done == nil); computed entries are ready once done is closed. failed
-// marks an entry whose compute panicked and was withdrawn from the map;
-// waiters seeing it retry instead of reading a bogus size. elem is the
-// entry's node in the cache's LRU list (nil while in flight: in-flight
-// entries are pinned and cannot be evicted).
-type fnEntry struct {
-	done     chan struct{}
+// fnSize is a cached function size; fromDisk marks entries loaded from
+// the store, whose hits are also counted as disk hits.
+type fnSize struct {
 	size     int
 	fromDisk bool
-	failed   bool
-	elem     *list.Element
-}
-
-func (e *fnEntry) ready() bool {
-	if e.done == nil {
-		return true
-	}
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // FnCacheStats reports the content cache's counters.
@@ -209,14 +190,11 @@ type FnCacheConfig struct {
 // function size, safe for concurrent use by any number of Compilers. The
 // zero value is not usable; construct with NewFnCache or OpenFnCache.
 type FnCache struct {
-	mu         sync.Mutex
-	entries    map[FnKey]*fnEntry
-	lru        *list.List // of FnKey; front = least recently used
-	maxEntries int
+	entries *flight.Group[FnKey, fnSize]
 
 	// Append-log store. storeMu serializes appends, syncs, and compaction;
-	// it is never held together with mu (Compact snapshots under mu first,
-	// then writes under storeMu).
+	// it is never held together with the group's lock (Compact snapshots
+	// the group first, then writes under storeMu).
 	storeMu    sync.Mutex
 	dir        string   // persistence directory; "" = in-memory only
 	file       *os.File // open append handle; nil if in-memory or failed
@@ -224,14 +202,11 @@ type FnCache struct {
 	sinceSync  int
 	healNeeded bool // open saw corruption; Save compacts to scrub it
 
-	hits     atomic.Int64
-	misses   atomic.Int64
 	diskHits atomic.Int64
 	loaded   int64 // written at open, read-only afterwards
 	corrupt  int64
 	dupes    int64
 	stored   atomic.Int64
-	evicted  atomic.Int64
 	syncs    atomic.Int64
 }
 
@@ -258,9 +233,7 @@ func OpenFnCache(dir string) (*FnCache, error) {
 // error: persistence is an optimization, never a correctness requirement.
 func OpenFnCacheWith(cfg FnCacheConfig) (*FnCache, error) {
 	fc := &FnCache{
-		entries:    make(map[FnKey]*fnEntry),
-		lru:        list.New(),
-		maxEntries: cfg.MaxEntries,
+		entries:    flight.NewLRU[FnKey, fnSize](cfg.MaxEntries, nil),
 		fsyncEvery: cfg.FsyncEvery,
 	}
 	if fc.fsyncEvery == 0 {
@@ -339,8 +312,7 @@ func (fc *FnCache) load(data []byte, path string) (keep int64) {
 			fc.corrupt++
 			continue
 		}
-		key := FnKey{Hi: hi, Lo: lo}
-		if _, ok := fc.entries[key]; ok {
+		if !fc.entries.Put(FnKey{Hi: hi, Lo: lo}, fnSize{size: int(size), fromDisk: true}) {
 			// Append logs legitimately repeat keys (crash before the
 			// in-memory dedup was rebuilt, recompute after eviction). The
 			// records are content-addressed, so duplicates carry the same
@@ -348,11 +320,7 @@ func (fc *FnCache) load(data []byte, path string) (keep int64) {
 			fc.dupes++
 			continue
 		}
-		e := &fnEntry{size: int(size), fromDisk: true}
-		e.elem = fc.lru.PushBack(key)
-		fc.entries[key] = e
 		fc.loaded++
-		fc.evictOverflowLocked()
 	}
 	if fc.corrupt > 0 {
 		fc.healNeeded = true
@@ -449,72 +417,12 @@ func (fc *FnCache) syncLocked() {
 	fc.syncs.Add(1)
 }
 
-// evictOverflowLocked enforces the LRU bound; the caller holds mu.
-// In-flight entries have no LRU node, so only ready entries are evictable.
-func (fc *FnCache) evictOverflowLocked() {
-	if fc.maxEntries <= 0 {
-		return
-	}
-	for fc.lru.Len() > fc.maxEntries {
-		front := fc.lru.Front()
-		if front == nil {
-			return
-		}
-		key := front.Value.(FnKey)
-		fc.lru.Remove(front)
-		delete(fc.entries, key)
-		fc.evicted.Add(1)
-	}
-}
-
 // sizeOf returns the cached size for key, computing it with compute on the
-// first request (single-flight: concurrent first requests share one
-// compute). hits/misses are the requesting Compiler's counters, so each
-// compiler sharing the cache reports its own view.
+// first request. hits/misses are the requesting Compiler's counters, so
+// each compiler sharing the cache reports its own view.
 func (fc *FnCache) sizeOf(key FnKey, hits, misses *atomic.Int64, compute func() int) int {
-	for {
-		fc.mu.Lock()
-		if e, ok := fc.entries[key]; ok {
-			if e.elem != nil {
-				fc.lru.MoveToBack(e.elem)
-			}
-			fc.mu.Unlock()
-			if e.done != nil {
-				<-e.done
-			}
-			if e.failed {
-				continue // compute panicked and was withdrawn; retry
-			}
-			hits.Add(1)
-			fc.hits.Add(1)
-			if e.fromDisk {
-				fc.diskHits.Add(1)
-			}
-			return e.size
-		}
-		e := &fnEntry{done: make(chan struct{})}
-		fc.entries[key] = e
-		fc.mu.Unlock()
-
-		misses.Add(1)
-		fc.misses.Add(1)
-		// If compute panics, withdraw the poisoned entry and release waiters
-		// before the panic unwinds, so other search workers sharing the cache
-		// neither block forever on done nor read a bogus size.
-		panicked := true
-		func() {
-			defer func() {
-				if panicked {
-					fc.mu.Lock()
-					delete(fc.entries, key)
-					fc.mu.Unlock()
-					e.failed = true
-					close(e.done)
-				}
-			}()
-			e.size = compute()
-			panicked = false
-		}()
+	v, hit, _ := fc.entries.Do(key, func() (fnSize, error) {
+		size := compute()
 		// Persist before publishing: once the entry is ready it is visible
 		// to Compact's snapshot, and compaction must never observe a ready
 		// entry whose record could land after the compacted log's rename
@@ -522,39 +430,33 @@ func (fc *FnCache) sizeOf(key FnKey, hits, misses *atomic.Int64, compute func() 
 		// written" happens-before "entry ready" keeps the log a superset of
 		// the ready set.
 		if fc.dir != "" {
-			fc.appendRecord(key, e.size)
+			fc.appendRecord(key, size)
 		}
-		fc.mu.Lock()
-		// The slot is still ours: in-flight entries have no LRU node, so
-		// eviction cannot have removed it, and only the panic path (not
-		// taken) withdraws entries. Link it into the LRU as most recent.
-		e.elem = fc.lru.PushBack(key)
-		fc.evictOverflowLocked()
-		fc.mu.Unlock()
-		close(e.done)
-		return e.size
+		return fnSize{size: size}, nil
+	})
+	countLookup(hit, hits, misses)
+	if hit && v.fromDisk {
+		fc.diskHits.Add(1)
 	}
+	return v.size
 }
 
 // Len returns the number of entries (ready or in flight).
-func (fc *FnCache) Len() int {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	return len(fc.entries)
-}
+func (fc *FnCache) Len() int { return fc.entries.Len() }
 
 // Stats returns the cache's own aggregate counters (across every compiler
 // sharing it).
 func (fc *FnCache) Stats() FnCacheStats {
+	st := fc.entries.Stats()
 	return FnCacheStats{
-		Hits:     fc.hits.Load(),
-		Misses:   fc.misses.Load(),
+		Hits:     st.Hits,
+		Misses:   st.Misses,
 		DiskHits: fc.diskHits.Load(),
 		Loaded:   fc.loaded,
 		Corrupt:  fc.corrupt,
 		Dupes:    fc.dupes,
 		Stored:   fc.stored.Load(),
-		Evicted:  fc.evicted.Load(),
+		Evicted:  st.Evicted,
 		Syncs:    fc.syncs.Load(),
 	}
 }
@@ -613,14 +515,11 @@ func (fc *FnCache) Compact() error {
 		k FnKey
 		s int
 	}
-	fc.mu.Lock()
-	snapshot := make([]kv, 0, len(fc.entries))
-	for k, e := range fc.entries {
-		if e.ready() && !e.failed {
-			snapshot = append(snapshot, kv{k, e.size})
-		}
-	}
-	fc.mu.Unlock()
+	snapshot := make([]kv, 0, fc.entries.Len())
+	fc.entries.Range(func(k FnKey, v fnSize) bool {
+		snapshot = append(snapshot, kv{k, v.size})
+		return true
+	})
 	sort.Slice(snapshot, func(i, j int) bool {
 		if snapshot[i].k.Hi != snapshot[j].k.Hi {
 			return snapshot[i].k.Hi < snapshot[j].k.Hi

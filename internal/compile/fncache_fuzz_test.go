@@ -8,25 +8,14 @@ import (
 	"testing"
 )
 
-// snapshotSizes reads the ready non-failed entries under the cache lock —
-// the survivor set the differential assertions compare across heal cycles.
+// snapshotSizes reads the ready entries — the survivor set the
+// differential assertions compare across heal cycles.
 func snapshotSizes(fc *FnCache) map[FnKey]int {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	out := make(map[FnKey]int, len(fc.entries))
-	for k, e := range fc.entries {
-		ready := e.done == nil // disk-loaded entries never had a done channel
-		if !ready {
-			select {
-			case <-e.done:
-				ready = true
-			default:
-			}
-		}
-		if ready && !e.failed {
-			out[k] = e.size
-		}
-	}
+	out := make(map[FnKey]int, fc.Len())
+	fc.entries.Range(func(k FnKey, v fnSize) bool {
+		out[k] = v.size
+		return true
+	})
 	return out
 }
 

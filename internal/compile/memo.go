@@ -6,9 +6,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
+	"optinline/internal/flight"
 	"optinline/internal/inline"
 	"optinline/internal/ir"
 	"optinline/internal/opt"
@@ -101,18 +103,9 @@ type memoState struct {
 	ancOnce   sync.Once
 	ancestors [][]int32
 
-	mu      sync.Mutex
-	entries map[string]*memoEntry
-}
-
-// memoEntry is a single-flight cache slot: the first requester computes,
-// concurrent requesters for the same key wait on done. failed marks an
-// entry whose computation panicked and was withdrawn from the map; waiters
-// seeing it retry instead of reading a bogus size.
-type memoEntry struct {
-	done   chan struct{}
-	size   int
-	failed bool
+	// entries caches sizes under the legacy per-module string key (the
+	// -no-fncache oracle; see funcSize).
+	entries flight.Group[string, int]
 }
 
 // buildMemo indexes site ownership per function.
@@ -120,7 +113,6 @@ func buildMemo(base *ir.Module, g *callgraph.Graph) *memoState {
 	ms := &memoState{
 		siteCallee: make(map[int]*funcInfo),
 		siteCaller: make(map[int]*funcInfo),
-		entries:    make(map[string]*memoEntry),
 	}
 	byName := make(map[string]*funcInfo, len(base.Funcs))
 	for i, f := range base.Funcs {
@@ -307,44 +299,20 @@ func (c *Compiler) funcSize(fi *funcInfo, cfg *callgraph.Config) int {
 		}
 		sb.WriteString(strconv.Itoa(s))
 	}
-	key := sb.String()
+	size, hit, _ := c.memo.entries.Do(sb.String(), func() (int, error) {
+		return c.compileClosure(fi, members, cfg), nil
+	})
+	countLookup(hit, &c.funcHits, &c.funcMisses)
+	return size
+}
 
-	ms := c.memo
-	for {
-		ms.mu.Lock()
-		if e, ok := ms.entries[key]; ok {
-			ms.mu.Unlock()
-			<-e.done
-			if e.failed {
-				continue // computation panicked and was withdrawn; retry
-			}
-			c.funcHits.Add(1)
-			return e.size
-		}
-		e := &memoEntry{done: make(chan struct{})}
-		ms.entries[key] = e
-		ms.mu.Unlock()
-
-		c.funcMisses.Add(1)
-		// If compileClosure panics, withdraw the poisoned entry and release
-		// waiters before the panic unwinds, so concurrent workers sharing the
-		// memo neither block forever nor read a bogus size.
-		panicked := true
-		func() {
-			defer func() {
-				if panicked {
-					ms.mu.Lock()
-					delete(ms.entries, key)
-					ms.mu.Unlock()
-					e.failed = true
-					close(e.done)
-				}
-			}()
-			e.size = c.compileClosure(fi, members, cfg)
-			panicked = false
-		}()
-		close(e.done)
-		return e.size
+// countLookup charges one cache request to the requesting compiler's own
+// hit or miss counter.
+func countLookup(hit bool, hits, misses *atomic.Int64) {
+	if hit {
+		hits.Add(1)
+	} else {
+		misses.Add(1)
 	}
 }
 

@@ -1,40 +1,19 @@
 package link
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "optinline/internal/flight"
 
 // ComponentCache is the content-keyed store behind incremental re-link: it
 // maps 128-bit component content keys (key.go) to solved per-component
 // results — optimal configurations, sizes, tuning traces, residual sizes —
 // so a Session re-solves only components whose content actually changed and
-// replays the rest.
-//
-// Concurrency follows FnCache's single-flight discipline: the first caller
-// to miss claims the key and computes; concurrent callers for the same key
-// block on the claim and receive the fulfilled value. A claim that fails
-// (error or panic) is withdrawn — the entry is removed and waiters retry,
-// so one poisoned computation never wedges the key. Values are immutable
-// after fulfillment; replayers must not mutate what they receive.
+// replays the rest. It is a flight.Group; values are immutable after
+// fulfilment, and replayers must not mutate what they receive.
 type ComponentCache struct {
-	mu      sync.Mutex
-	entries map[ResultKey]*ccEntry
-
-	hits   atomic.Int64
-	misses atomic.Int64
-}
-
-type ccEntry struct {
-	done chan struct{}
-	val  any
-	ok   bool // false after withdrawal: waiters retry the key
+	g flight.Group[ResultKey, any]
 }
 
 // NewComponentCache returns an empty cache.
-func NewComponentCache() *ComponentCache {
-	return &ComponentCache{entries: make(map[ResultKey]*ccEntry)}
-}
+func NewComponentCache() *ComponentCache { return &ComponentCache{} }
 
 // defaultComponentCache backs CLI sessions (SessionOptions.Results nil), so
 // every -relink replay in one process shares solved components.
@@ -49,120 +28,19 @@ type ComponentCacheStats struct {
 
 // Stats snapshots the counters. Entries counts fulfilled values only.
 func (cc *ComponentCache) Stats() ComponentCacheStats {
-	st := ComponentCacheStats{Hits: cc.hits.Load(), Misses: cc.misses.Load()}
-	cc.mu.Lock()
-	for _, e := range cc.entries {
-		select {
-		case <-e.done:
-			if e.ok {
-				st.Entries++
-			}
-		default:
-		}
-	}
-	cc.mu.Unlock()
+	g := cc.g.Stats()
+	st := ComponentCacheStats{Hits: g.Hits, Misses: g.Misses}
+	cc.g.Range(func(ResultKey, any) bool {
+		st.Entries++
+		return true
+	})
 	return st
 }
 
-// ccClaim is an unfulfilled cache slot owned by the caller that missed; it
-// must be settled exactly once, by fulfill or withdraw.
-type ccClaim struct {
-	cc  *ComponentCache
-	key ResultKey
-	e   *ccEntry
-}
-
-func (c *ccClaim) fulfill(v any) {
-	c.e.val, c.e.ok = v, true
-	close(c.e.done)
-}
-
-func (c *ccClaim) withdraw() {
-	c.cc.mu.Lock()
-	if c.cc.entries[c.key] == c.e {
-		delete(c.cc.entries, c.key)
-	}
-	c.cc.mu.Unlock()
-	close(c.e.done) // e.ok false: waiters retry
-}
-
-// lookupOrClaim returns (value, true, nil) on a hit, or (nil, false, claim)
-// when the caller now owns the computation. It blocks while another caller
-// holds the claim and retries after withdrawals, so it must not be called
-// while holding a claim whose fulfillment depends on this call returning
-// (Tune uses tryClaim for exactly that reason).
-func (cc *ComponentCache) lookupOrClaim(key ResultKey) (any, bool, *ccClaim) {
-	for {
-		cc.mu.Lock()
-		e := cc.entries[key]
-		if e == nil {
-			e = &ccEntry{done: make(chan struct{})}
-			cc.entries[key] = e
-			cc.mu.Unlock()
-			cc.misses.Add(1)
-			return nil, false, &ccClaim{cc: cc, key: key, e: e}
-		}
-		cc.mu.Unlock()
-		<-e.done
-		if e.ok {
-			cc.hits.Add(1)
-			return e.val, true, nil
-		}
-	}
-}
-
-// tryClaim is the non-blocking variant: on a fulfilled hit it returns the
-// value; on an absent key it returns a claim; while another caller's claim
-// is in flight it returns (nil, false, nil) — the caller computes live and
-// unrecorded. Tune needs this because its fulfillments happen only after
-// the whole lockstep loop: blocking there could deadlock two sessions that
-// claim overlapping component sets in opposite orders.
-func (cc *ComponentCache) tryClaim(key ResultKey) (any, bool, *ccClaim) {
-	cc.mu.Lock()
-	e := cc.entries[key]
-	if e == nil {
-		e = &ccEntry{done: make(chan struct{})}
-		cc.entries[key] = e
-		cc.mu.Unlock()
-		cc.misses.Add(1)
-		return nil, false, &ccClaim{cc: cc, key: key, e: e}
-	}
-	cc.mu.Unlock()
-	select {
-	case <-e.done:
-		if e.ok {
-			cc.hits.Add(1)
-			return e.val, true, nil
-		}
-		// Withdrawn between lookup and wait: treat as busy; the next
-		// caller will claim afresh.
-		return nil, false, nil
-	default:
-		return nil, false, nil
-	}
-}
-
-// get is the single-flight convenience for computations that complete
-// before returning (search, residual sizes): hit, or compute-and-fulfill,
-// with the claim withdrawn on error or panic.
+// get returns the value cached under key, computing it on the first
+// request; a failed compute is returned to this caller and not cached.
 func (cc *ComponentCache) get(key ResultKey, compute func() (any, error)) (v any, hit bool, err error) {
-	got, ok, claim := cc.lookupOrClaim(key)
-	if ok {
-		return got, true, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			claim.withdraw()
-			panic(r)
-		}
-	}()
-	v, err = compute()
-	if err != nil {
-		claim.withdraw()
-		return nil, false, err
-	}
-	claim.fulfill(v)
-	return v, false, nil
+	return cc.g.Do(key, compute)
 }
 
 // Cached payloads. bits fields are inline labels over the component's edges

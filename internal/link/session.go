@@ -423,36 +423,38 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	useCache := !s.noCache && !opts.Compile.Check
 
 	type tuneShard struct {
-		edges  []PlannedEdge
-		cached *tuneOutcome
-		claim  *ccClaim
-		record tuneOutcome
-		c      *compile.Compiler
-		sess   *autotune.Session
-		bits   []uint64 // current labels over edges
-		size   int      // current component size
+		edges   []PlannedEdge
+		key     ResultKey
+		cached  *tuneOutcome
+		claimed bool // this run owns key and must settle it
+		record  tuneOutcome
+		c       *compile.Compiler
+		sess    *autotune.Session
+		bits    []uint64 // current labels over edges
+		size    int      // current component size
 	}
 	shards := make([]tuneShard, len(p.Components))
 	// Claims must not block: fulfillment only happens after the global
 	// loop, so waiting on another in-flight tune here (or on a duplicate
-	// key within this very run) could deadlock. tryClaim returns busy in
+	// key within this very run) could deadlock. TryClaim returns busy in
 	// those cases and the component simply solves live, unrecorded.
 	for ci := range shards {
-		shards[ci].edges = p.ComponentEdges(ci)
+		sh := &shards[ci]
+		sh.edges = p.ComponentEdges(ci)
 		if !useCache {
 			continue
 		}
-		key := tuneKey(componentKey(p, l.sums, ci, opts.Target), opts.Init, rounds)
-		if v, hit, claim := s.results.tryClaim(key); hit {
-			shards[ci].cached = v.(*tuneOutcome)
-		} else {
-			shards[ci].claim = claim
+		sh.key = tuneKey(componentKey(p, l.sums, ci, opts.Target), opts.Init, rounds)
+		v, hit, claimed := s.results.g.TryClaim(sh.key)
+		if hit {
+			sh.cached = v.(*tuneOutcome)
 		}
+		sh.claimed = claimed
 	}
 	defer func() {
 		for ci := range shards {
-			if shards[ci].claim != nil {
-				shards[ci].claim.withdraw()
+			if shards[ci].claimed {
+				s.results.g.Withdraw(shards[ci].key)
 			}
 		}
 	}()
@@ -553,10 +555,10 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	}
 	for ci := range shards {
 		sh := &shards[ci]
-		if sh.claim != nil {
+		if sh.claimed {
 			rec := sh.record
-			sh.claim.fulfill(&rec)
-			sh.claim = nil
+			s.results.g.Fulfill(sh.key, &rec)
+			sh.claimed = false
 		}
 		if sh.sess != nil {
 			res.Evaluations += sh.c.Evaluations()

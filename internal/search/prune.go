@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/compile"
+	"optinline/internal/flight"
 	"optinline/internal/graph"
 )
 
@@ -136,21 +136,17 @@ type engine struct {
 	siteV   map[int]int // site -> callee function index
 	inSites [][]int     // function index -> incoming candidate sites, ascending
 
-	mu   sync.Mutex
-	memo map[string]*compEntry
+	memo flight.Group[string, compSolution] // subproblem key -> solution
 
 	pruned     atomic.Int64
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
 	boundEvals atomic.Int64
 }
 
-// compEntry is a single-flight memo slot holding a solved subproblem's
-// optimal inline sites within the component, the optimal size in the
-// subproblem's own anchor frame, and the anchor's size — everything a hit
-// needs to reconstruct its answer by pure arithmetic.
-type compEntry struct {
-	done      chan struct{}
+// compSolution is a solved subproblem: its optimal inline sites within the
+// component, the optimal size in the subproblem's own anchor frame, and the
+// anchor's size — everything a hit needs to reconstruct its answer by pure
+// arithmetic.
+type compSolution struct {
 	sites     []int
 	localSize int // optimal size of clusterSites ∪ sites
 	baseSize  int // size of clusterSites alone (the frame anchor)
@@ -162,7 +158,6 @@ func newEngine(g *callgraph.Graph) *engine {
 		siteU:   make(map[int]int, len(g.Edges)),
 		siteV:   make(map[int]int, len(g.Edges)),
 		inSites: make([][]int, len(g.Nodes)),
-		memo:    make(map[string]*compEntry),
 	}
 	for _, e := range g.Edges {
 		u, v := g.Index[e.Caller], g.Index[e.Callee]
@@ -177,11 +172,12 @@ func newEngine(g *callgraph.Graph) *engine {
 }
 
 func (eng *engine) stats() PruneStats {
+	memo := eng.memo.Stats()
 	return PruneStats{
 		Enabled:    true,
 		Subtrees:   eng.pruned.Load(),
-		MemoHits:   eng.memoHits.Load(),
-		MemoMisses: eng.memoMisses.Load(),
+		MemoHits:   memo.Hits,
+		MemoMisses: memo.Misses,
 		BoundEvals: eng.boundEvals.Load(),
 	}
 }
@@ -283,19 +279,6 @@ func (eng *engine) canon(mg *graph.Multigraph, decided *callgraph.Config) subpro
 	return subproblem{key: key, csites: csites, clusterSites: clusterSites}
 }
 
-// lookup finds or creates the single-flight slot for a subproblem key.
-// owned reports whether the caller must solve it (and close e.done).
-func (eng *engine) lookup(key string) (e *compEntry, owned bool) {
-	eng.mu.Lock()
-	defer eng.mu.Unlock()
-	if e, ok := eng.memo[key]; ok {
-		return e, false
-	}
-	e = &compEntry{done: make(chan struct{})}
-	eng.memo[key] = e
-	return e, true
-}
-
 // evalComponent handles a single-component node with the engine active:
 // serve the subproblem from the memo, or solve it with branch-and-bound and
 // store the component-local optimum.
@@ -325,17 +308,17 @@ func (eng *engine) lookup(key string) (e *compEntry, owned bool) {
 func (ev *evaluator) evalComponent(mg *graph.Multigraph, decided *callgraph.Config, h *compile.Sized) (*callgraph.Config, int) {
 	eng := ev.eng
 	sp := eng.canon(mg, decided)
-	entry, owned := eng.lookup(sp.key)
-	if !owned {
-		<-entry.done
-		eng.memoHits.Add(1)
-		cfg := decided.Clone()
-		for _, s := range entry.sites {
-			cfg.Set(s, true)
-		}
-		return cfg, h.Size() + entry.localSize - entry.baseSize
+	sol, _, _ := eng.memo.Do(sp.key, func() (compSolution, error) { return ev.solveComponent(mg, sp), nil })
+	cfg := decided.Clone()
+	for _, s := range sol.sites {
+		cfg.Set(s, true)
 	}
-	eng.memoMisses.Add(1)
+	return cfg, h.Size() + sol.localSize - sol.baseSize
+}
+
+// solveComponent solves one subproblem in its anchor frame with
+// branch-and-bound.
+func (ev *evaluator) solveComponent(mg *graph.Multigraph, sp subproblem) compSolution {
 	anchor := callgraph.NewConfigOf(sp.clusterSites)
 	hl := ev.c.RebaseContrib(ev.root, sp.clusterSites)
 	var cfgLocal *callgraph.Config
@@ -362,13 +345,7 @@ func (ev *evaluator) evalComponent(mg *graph.Multigraph, decided *callgraph.Conf
 			local = append(local, s)
 		}
 	}
-	entry.sites, entry.localSize, entry.baseSize = local, localSize, baseSize
-	close(entry.done)
-	cfg := decided.Clone()
-	for _, s := range local {
-		cfg.Set(s, true)
-	}
-	return cfg, h.Size() + localSize - baseSize
+	return compSolution{sites: local, localSize: localSize, baseSize: baseSize}
 }
 
 // branchAndBound is the binary node with pruning: price the contract

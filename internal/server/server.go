@@ -33,6 +33,7 @@ import (
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/diag"
+	"optinline/internal/flight"
 	"optinline/internal/heuristic"
 	"optinline/internal/interp"
 	"optinline/internal/link"
@@ -59,9 +60,9 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies. <= 0 selects 8 MiB.
 	MaxBodyBytes int64
 	// MaxCompilers bounds the per-module compiler pool (LRU over a source
-	// hash); a compiler carries its module's whole-config and closure
-	// caches, so the pool is what makes replaying a corpus cheap. <= 0
-	// selects 128.
+	// hash) and, separately, the cycle-pricer pool; a compiler carries its
+	// module's whole-config and closure caches, so the pool is what makes
+	// replaying a corpus cheap. <= 0 selects 128.
 	MaxCompilers int
 	// DefaultMaxSpace caps /search (and inline=optimal) recursive spaces
 	// when the request does not choose. <= 0 selects 1<<16.
@@ -172,21 +173,6 @@ func (g *drainGate) beginDrain() <-chan struct{} {
 	return g.idle
 }
 
-// compilerEntry is a single-flight slot of the per-module compiler pool.
-type compilerEntry struct {
-	done chan struct{}
-	comp *compile.Compiler
-	err  error
-	elem *poolElem
-}
-
-// poolElem is an intrusive LRU node (a tiny hand-rolled list keeps the
-// entry → node mapping allocation-free and avoids interface casts).
-type poolElem struct {
-	key        string
-	prev, next *poolElem
-}
-
 // Server is the inlined daemon core. Construct with New; serve
 // s.Handler() on any net/http server.
 type Server struct {
@@ -198,35 +184,22 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 
-	poolMu    sync.Mutex
-	pool      map[string]*compilerEntry
-	lruHead   *poolElem // least recently used
-	lruTail   *poolElem // most recently used
-	poolLive  int
-	poolBuilt int64
-	poolHits  int64
-	poolEvict int64
-	// retired accumulates the cache counters of evicted compilers so
-	// /stats aggregates never go backwards.
-	retiredConfig stats.CacheStats
-	retiredFunc   stats.CacheStats
-	retiredDelta  stats.DeltaStats
-	retiredEvals  int64
+	// compilers pools one compiler per module (compilerKey); pricers pools
+	// the cycle pricers behind cycle-aware /tune objectives, keyed by
+	// compiler + profiling parameters. Both are LRU-bounded by
+	// MaxCompilers.
+	compilers *flight.Group[string, *compile.Compiler]
+	pricers   *flight.Group[string, *compile.CyclePricer]
+
+	// retMu guards the counters of evicted compilers and pricers, which
+	// the pools' onEvict hooks fold in so /stats aggregates never go
+	// backwards. It is taken under a pool's lock, never the other way.
+	retMu           sync.Mutex
+	retiredCompiler compilerTotals
+	retiredCycle    compile.CyclePricerStats
 
 	pruneMu sync.Mutex
 	prune   search.PruneStats
-
-	// cycleMu guards the cycle-pricer pool behind cycle-aware /tune
-	// objectives: cached baseline profiles keyed by compiler + profiling
-	// parameters, FIFO-bounded, with evicted pricers' counters folded into
-	// retiredCycle so /stats aggregates never go backwards.
-	cycleMu      sync.Mutex
-	cyclePricers map[string]*cyclePricerEntry
-	cycleOrder   []string
-	cycleBuilt   int64
-	cycleHits    int64
-	cycleEvict   int64
-	retiredCycle compile.CyclePricerStats
 
 	epMu sync.Mutex
 	eps  map[string]*endpointCounters
@@ -238,11 +211,18 @@ type Server struct {
 	relinkCache *link.ComponentCache
 }
 
-// cyclePricerEntry is a single-flight slot of the cycle-pricer pool.
-type cyclePricerEntry struct {
-	done   chan struct{}
-	pricer *compile.CyclePricer
-	err    error
+// compilerTotals sums the cache counters of a set of compilers.
+type compilerTotals struct {
+	config, fn stats.CacheStats
+	delta      stats.DeltaStats
+	evals      int64
+}
+
+func (t *compilerTotals) add(c *compile.Compiler) {
+	t.config = t.config.Add(c.ConfigCacheStats())
+	t.fn = t.fn.Add(c.FuncCacheStats())
+	t.delta = t.delta.Add(c.DeltaStats())
+	t.evals += c.Evaluations()
 }
 
 type endpointCounters struct {
@@ -261,11 +241,18 @@ func New(cfg Config) *Server {
 		queue:   newJobQueue(cfg.Jobs, cfg.MaxQueue),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
-		pool:    make(map[string]*compilerEntry),
 		eps:     make(map[string]*endpointCounters),
-
-		cyclePricers: make(map[string]*cyclePricerEntry),
 	}
+	s.compilers = flight.NewLRU(cfg.MaxCompilers, func(_ string, c *compile.Compiler) {
+		s.retMu.Lock()
+		s.retiredCompiler.add(c)
+		s.retMu.Unlock()
+	})
+	s.pricers = flight.NewLRU(cfg.MaxCompilers, func(_ string, p *compile.CyclePricer) {
+		s.retMu.Lock()
+		s.retiredCycle = s.retiredCycle.Add(p.Stats())
+		s.retMu.Unlock()
+	})
 	if !cfg.DisableSummaryCache {
 		s.ipcache = interproc.NewCache()
 	}
@@ -442,107 +429,39 @@ func compilerKey(name, src string, target codegen.Target) string {
 }
 
 // compiler returns the pooled compiler for (name, src, target), building
-// and caching it on first use. Single-flight: concurrent first requests
-// for one module share a single parse+build.
+// and caching it on first use. Concurrent first requests for one module
+// share a single parse+build; a failed parse is not cached.
 func (s *Server) compiler(name, src string, target codegen.Target) (*compile.Compiler, error) {
-	key := compilerKey(name, src, target)
-	s.poolMu.Lock()
-	if e, ok := s.pool[key]; ok {
-		if e.elem != nil {
-			s.lruTouch(e.elem)
+	comp, _, err := s.compilers.Do(compilerKey(name, src, target), func() (*compile.Compiler, error) {
+		mod, err := source.FromBytes(name, []byte(src))
+		if err != nil {
+			return nil, fmt.Errorf("parse %s: %w", name, err)
 		}
-		s.poolMu.Unlock()
-		<-e.done
-		if e.err == nil {
-			s.poolMu.Lock()
-			s.poolHits++
-			s.poolMu.Unlock()
-		}
-		return e.comp, e.err
-	}
-	e := &compilerEntry{done: make(chan struct{})}
-	s.pool[key] = e
-	s.poolMu.Unlock()
-
-	mod, err := source.FromBytes(name, []byte(src))
-	if err == nil {
-		e.comp = compile.NewWithOptions(mod, target, compile.Options{FnCache: s.fncache})
-	} else {
-		e.err = fmt.Errorf("parse %s: %w", name, err)
-	}
-
-	s.poolMu.Lock()
-	if e.err != nil {
-		delete(s.pool, key) // failed builds are not cached; next try re-parses
-	} else {
-		e.elem = s.lruPush(key)
-		s.poolLive++
-		s.poolBuilt++
-		s.evictCompilersLocked()
-	}
-	s.poolMu.Unlock()
-	close(e.done)
-	return e.comp, e.err
+		return compile.NewWithOptions(mod, target, compile.Options{FnCache: s.fncache}), nil
+	})
+	return comp, err
 }
 
-func (s *Server) lruPush(key string) *poolElem {
-	el := &poolElem{key: key}
-	if s.lruTail == nil {
-		s.lruHead, s.lruTail = el, el
-	} else {
-		el.prev = s.lruTail
-		s.lruTail.next = el
-		s.lruTail = el
-	}
-	return el
-}
-
-func (s *Server) lruRemove(el *poolElem) {
-	if el.prev != nil {
-		el.prev.next = el.next
-	} else {
-		s.lruHead = el.next
-	}
-	if el.next != nil {
-		el.next.prev = el.prev
-	} else {
-		s.lruTail = el.prev
-	}
-	el.prev, el.next = nil, nil
-}
-
-func (s *Server) lruTouch(el *poolElem) {
-	if s.lruTail == el {
-		return
-	}
-	s.lruRemove(el)
-	if s.lruTail == nil {
-		s.lruHead, s.lruTail = el, el
-		return
-	}
-	el.prev = s.lruTail
-	s.lruTail.next = el
-	s.lruTail = el
-}
-
-// evictCompilersLocked retires least-recently-used compilers beyond the
-// pool bound, folding their counters into the retired aggregates first so
-// /stats totals are monotone.
-func (s *Server) evictCompilersLocked() {
-	for s.poolLive > s.cfg.MaxCompilers && s.lruHead != nil {
-		el := s.lruHead
-		e := s.pool[el.key]
-		s.lruRemove(el)
-		delete(s.pool, el.key)
-		s.poolLive--
-		s.poolEvict++
-		if e != nil && e.comp != nil {
-			s.retiredConfig = s.retiredConfig.Add(e.comp.ConfigCacheStats())
-			s.retiredFunc = s.retiredFunc.Add(e.comp.FuncCacheStats())
-			s.retiredDelta = s.retiredDelta.Add(e.comp.DeltaStats())
-			s.retiredEvals += e.comp.Evaluations()
-		}
-	}
+// poolTotals sums the counters of every value a pool ever held — its
+// retired aggregate plus each live value — and counts the live ones. The
+// retired aggregate is read inside the pool's Range when there is a live
+// value, under the lock onEvict folds under, so no value is counted twice
+// or missed; with no live value it is read afterwards, when there is
+// nothing it could be double counted against.
+func poolTotals[V, T any](s *Server, pool *flight.Group[string, V], retired *T, add func(*T, V)) (t T, live int) {
+	readRetired := sync.OnceFunc(func() {
+		s.retMu.Lock()
+		t = *retired
+		s.retMu.Unlock()
+	})
+	pool.Range(func(_ string, v V) bool {
+		readRetired()
+		add(&t, v)
+		live++
+		return true
+	})
+	readRetired()
+	return t, live
 }
 
 func (s *Server) addPrune(p search.PruneStats) {
@@ -571,38 +490,13 @@ func (cp cycleProfile) key(compKey string) string {
 }
 
 // cyclePricer returns the pooled pricer for (compiler, profile), building
-// it on first use. Single-flight like the compiler pool: concurrent first
-// requests share one baseline build + interpretation.
+// it on first use. Concurrent first requests share one baseline build +
+// interpretation; a failed profile is not cached.
 func (s *Server) cyclePricer(comp *compile.Compiler, compKey string, cp cycleProfile) (*compile.CyclePricer, error) {
-	key := cp.key(compKey)
-	s.cycleMu.Lock()
-	if e, ok := s.cyclePricers[key]; ok {
-		s.cycleMu.Unlock()
-		<-e.done
-		if e.err == nil {
-			s.cycleMu.Lock()
-			s.cycleHits++
-			s.cycleMu.Unlock()
-		}
-		return e.pricer, e.err
-	}
-	e := &cyclePricerEntry{done: make(chan struct{})}
-	s.cyclePricers[key] = e
-	s.cycleMu.Unlock()
-
-	e.pricer, e.err = buildCyclePricer(comp, cp)
-
-	s.cycleMu.Lock()
-	if e.err != nil {
-		delete(s.cyclePricers, key) // failed profiles are not cached
-	} else {
-		s.cycleOrder = append(s.cycleOrder, key)
-		s.cycleBuilt++
-		s.evictPricersLocked()
-	}
-	s.cycleMu.Unlock()
-	close(e.done)
-	return e.pricer, e.err
+	p, _, err := s.pricers.Do(cp.key(compKey), func() (*compile.CyclePricer, error) {
+		return buildCyclePricer(comp, cp)
+	})
+	return p, err
 }
 
 func buildCyclePricer(comp *compile.Compiler, cp cycleProfile) (*compile.CyclePricer, error) {
@@ -622,23 +516,6 @@ func buildCyclePricer(comp *compile.Compiler, cp cycleProfile) (*compile.CyclePr
 		p.SetCycleDelta(false)
 	}
 	return p, nil
-}
-
-// evictPricersLocked retires the oldest pricers beyond the pool bound
-// (shared with the compiler pool's), folding their counters into the
-// retired aggregate first so /stats totals are monotone.
-func (s *Server) evictPricersLocked() {
-	for len(s.cycleOrder) > s.cfg.MaxCompilers {
-		key := s.cycleOrder[0]
-		s.cycleOrder = s.cycleOrder[1:]
-		if e, ok := s.cyclePricers[key]; ok {
-			delete(s.cyclePricers, key)
-			if e.pricer != nil {
-				s.retiredCycle = s.retiredCycle.Add(e.pricer.Stats())
-			}
-			s.cycleEvict++
-		}
-	}
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -985,32 +862,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Entries: s.fncache.Len(),
 	}
 
-	s.poolMu.Lock()
-	cfgStats, fnStats, deltaStats := s.retiredConfig, s.retiredFunc, s.retiredDelta
-	evals := s.retiredEvals
-	for _, e := range s.pool {
-		select {
-		case <-e.done:
-		default:
-			continue // still building; no counters yet
-		}
-		if e.comp == nil {
-			continue
-		}
-		cfgStats = cfgStats.Add(e.comp.ConfigCacheStats())
-		fnStats = fnStats.Add(e.comp.FuncCacheStats())
-		deltaStats = deltaStats.Add(e.comp.DeltaStats())
-		evals += e.comp.Evaluations()
-	}
+	comp, live := poolTotals(s, s.compilers, &s.retiredCompiler, (*compilerTotals).add)
+	pool := s.compilers.Stats()
 	resp.Compilers = CompilerPoolStats{
-		Live: s.poolLive, Built: s.poolBuilt, Hits: s.poolHits, Evicted: s.poolEvict,
+		Live: live, Built: pool.Misses, Hits: pool.Hits, Evicted: pool.Evicted,
 	}
-	s.poolMu.Unlock()
-
-	resp.ConfigCache = CacheCounters{Hits: cfgStats.Hits, Misses: cfgStats.Misses}
-	resp.FuncCache = CacheCounters{Hits: fnStats.Hits, Misses: fnStats.Misses}
-	resp.Delta = DeltaCounters{Evals: deltaStats.Evals, DirtyFuncs: deltaStats.DirtyFuncs}
-	resp.Evaluations = evals
+	resp.ConfigCache = CacheCounters{Hits: comp.config.Hits, Misses: comp.config.Misses}
+	resp.FuncCache = CacheCounters{Hits: comp.fn.Hits, Misses: comp.fn.Misses}
+	resp.Delta = DeltaCounters{Evals: comp.delta.Evals, DirtyFuncs: comp.delta.DirtyFuncs}
+	resp.Evaluations = comp.evals
 
 	s.pruneMu.Lock()
 	resp.Prune = PruneCounters{
@@ -1022,24 +882,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	s.pruneMu.Unlock()
 
-	s.cycleMu.Lock()
-	cyc := s.retiredCycle
-	for _, e := range s.cyclePricers {
-		select {
-		case <-e.done:
-		default:
-			continue // still profiling; no counters yet
-		}
-		if e.pricer == nil {
-			continue
-		}
-		cyc = cyc.Add(e.pricer.Stats())
-	}
+	cyc, liveCyc := poolTotals(s, s.pricers, &s.retiredCycle, func(t *compile.CyclePricerStats, p *compile.CyclePricer) {
+		*t = t.Add(p.Stats())
+	})
+	pricers := s.pricers.Stats()
 	resp.CyclePricers = CyclePricerPoolStats{
-		Live:            len(s.cycleOrder),
-		Built:           s.cycleBuilt,
-		Hits:            s.cycleHits,
-		Evicted:         s.cycleEvict,
+		Live:            liveCyc,
+		Built:           pricers.Misses,
+		Hits:            pricers.Hits,
+		Evicted:         pricers.Evicted,
 		Repricings:      cyc.Repricings,
 		FullEvals:       cyc.FullEvals,
 		ConfigCacheHits: cyc.CacheHits,
@@ -1047,7 +898,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CostCacheHits:   cyc.CostHits,
 		CostCacheMisses: cyc.CostMisses,
 	}
-	s.cycleMu.Unlock()
 
 	resp.LinkSessions = s.linkReg.stats()
 	if s.relinkCache != nil {
