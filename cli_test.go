@@ -97,8 +97,8 @@ func TestInlineTuneCLI(t *testing.T) {
 }
 
 // TestMinccFnCacheColdVsWarm: a warm -cache-dir rerun and the -no-fncache
-// oracle must produce byte-identical stdout; the warm run's -cache-stats
-// line must show that it reused the persisted entries.
+// oracle must produce byte-identical stdout; the warm run's fn content
+// cache line on stderr must show that it reused the persisted entries.
 func TestMinccFnCacheColdVsWarm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("CLI test")
@@ -109,8 +109,8 @@ func TestMinccFnCacheColdVsWarm(t *testing.T) {
 		return append(append(base, extra...), "testdata/matrixsum.minc")
 	}
 	oracle, _ := runCLISplit(t, argv("-no-fncache")...)
-	cold, coldErr := runCLISplit(t, argv("-cache-dir", dir, "-cache-stats")...)
-	warm, warmErr := runCLISplit(t, argv("-cache-dir", dir, "-cache-stats")...)
+	cold, coldErr := runCLISplit(t, argv("-cache-dir", dir)...)
+	warm, warmErr := runCLISplit(t, argv("-cache-dir", dir)...)
 	if cold != oracle {
 		t.Fatalf("cold fncache stdout differs from -no-fncache oracle:\n--- oracle\n%s--- cold\n%s", oracle, cold)
 	}
@@ -122,6 +122,24 @@ func TestMinccFnCacheColdVsWarm(t *testing.T) {
 	}
 	if !strings.Contains(warmErr, "loaded") || !strings.Contains(warmErr, "0 misses") {
 		t.Fatalf("warm run did not reuse the persisted cache:\n%s", warmErr)
+	}
+}
+
+// TestEngineCLIsRejectUnknownTarget: every CLI with a -target flag must
+// refuse a size model it does not have instead of measuring another one.
+func TestEngineCLIsRejectUnknownTarget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI test")
+	}
+	for _, tool := range []string{"./cmd/mincc", "./cmd/inlinesearch", "./cmd/inlinetune"} {
+		cmd := exec.Command("go", "run", tool, "-target", "arm", "testdata/matrixsum.minc")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s -target arm succeeded:\n%s", tool, out)
+		}
+		if !strings.Contains(string(out), `unknown target "arm"`) {
+			t.Fatalf("%s -target arm: error does not name the target:\n%s", tool, out)
+		}
 	}
 }
 

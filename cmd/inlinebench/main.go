@@ -25,8 +25,8 @@
 //	-no-prune     disable the branch-and-bound layer of the optimal search;
 //	              exhaustive experiments run the plain recursion instead
 //	              (differential oracle — stdout is byte-identical)
-//	-no-fncache   disable the content-addressed per-function compile cache,
-//	              falling back to per-module memo keys (differential oracle)
+//	-no-fncache   disable the per-function compile cache: every closure is
+//	              compiled afresh (differential oracle)
 //	-no-cycledelta cycle pricers (the pareto experiment) evaluate whole
 //	              configurations instead of repricing incrementally
 //	              (differential oracle — stdout is byte-identical)
@@ -44,11 +44,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
+	"optinline/internal/cli"
 	"optinline/internal/compile"
 	"optinline/internal/experiments"
 )
@@ -62,6 +61,7 @@ func main() {
 
 func run() error {
 	var (
+		eng          = cli.NewEngine(flag.CommandLine, "inlinebench")
 		exp          = flag.String("exp", "all", "experiment id or 'all'")
 		list         = flag.Bool("list", false, "list experiment IDs")
 		scale        = flag.Float64("scale", 1.0, "workload scale")
@@ -69,42 +69,11 @@ func run() error {
 		spaceCap     = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
 		jobs         = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
 		noMemo       = flag.Bool("no-memo", false, "disable the per-component memoized compile path (for measuring its effect)")
-		noDelta      = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		noPrune      = flag.Bool("no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
 		noShard      = flag.Bool("no-shard", false, "linked-module experiments: one merged compiler instead of per-component shards (differential oracle)")
-		noFnCache    = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
 		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricers evaluate whole configurations instead of repricing incrementally (differential oracle)")
-		cacheDir     = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
 		check        = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass (slow)")
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a heap profile to this file at exit")
 	)
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "inlinebench: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "inlinebench: -memprofile:", err)
-			}
-		}()
-	}
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
@@ -113,21 +82,25 @@ func run() error {
 	}
 
 	start := time.Now()
-	fncache, err := compile.OpenFnCache(*cacheDir)
+	stop, err := eng.Start()
 	if err != nil {
 		return err
 	}
+	defer stop()
 	h := experiments.NewHarness(experiments.Config{
-		Scale:             *scale,
-		Workers:           *jobs,
-		ExhaustiveCap:     *spaceCap,
-		Rounds:            *rounds,
-		DisableMemo:       *noMemo,
-		DisableDelta:      *noDelta,
+		Scale:         *scale,
+		Workers:       *jobs,
+		ExhaustiveCap: *spaceCap,
+		Rounds:        *rounds,
+		Configure: func(c *compile.Compiler) {
+			if *noMemo {
+				c.SetMemoize(false)
+			}
+			eng.Configure(c)
+		},
 		Checked:           *check,
-		DisablePrune:      *noPrune,
-		DisableFnCache:    *noFnCache,
-		FnCache:           fncache,
+		DisablePrune:      eng.NoPrune,
+		FnCache:           eng.FnCache(),
 		DisableShard:      *noShard,
 		DisableCycleDelta: *noCycleDelta,
 	})
@@ -151,14 +124,9 @@ func run() error {
 		fmt.Printf("================================================================\n\n")
 		fmt.Println(r.Text)
 	}
-	if *cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinebench:", err)
-		}
-	}
 	fmt.Fprintf(os.Stderr, "config cache:    %v\n", h.ConfigCacheStats())
 	fmt.Fprintf(os.Stderr, "function cache:  %v\n", h.FuncCacheStats())
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", h.FnCacheStats())
+	eng.Finish()
 	fmt.Fprintf(os.Stderr, "delta engine:    %v\n", h.DeltaStats())
 	fmt.Fprintf(os.Stderr, "search pruning:  %v\n", h.PruneStats())
 	fmt.Fprintf(os.Stderr, "cycle pricer:    %v\n", h.CycleStats())

@@ -41,6 +41,7 @@ import (
 	"optinline/internal/analysis"
 	"optinline/internal/analysis/interproc"
 	"optinline/internal/callgraph"
+	"optinline/internal/cli"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/diag"
@@ -87,13 +88,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "inlinelint: unknown severity %q (want info|warning|error)\n", *sevName)
 		return 2
 	}
-	target := codegen.TargetX86
-	switch *targetName {
-	case "x86":
-	case "wasm":
-		target = codegen.TargetWASM
-	default:
-		fmt.Fprintf(stderr, "inlinelint: unknown target %q\n", *targetName)
+	target, err := cli.ParseTarget(*targetName)
+	if err != nil {
+		fmt.Fprintln(stderr, "inlinelint:", err)
 		return 2
 	}
 

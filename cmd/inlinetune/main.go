@@ -22,7 +22,7 @@
 //	-init clean|os|both   starting configuration(s) (default both)
 //	-rounds N             tuning rounds (default 4)
 //	-target x86|wasm      size model (default x86)
-//	-workers N            parallel per-edge evaluations
+//	-jobs N               parallel per-edge evaluations (default GOMAXPROCS)
 //	-dot                  print the tuned call graph as DOT
 //	-no-delta             disable the incremental delta-evaluation engine;
 //	                      every probe prices a whole configuration
@@ -32,8 +32,8 @@
 //	                      labels of the rest (0 disables; try 4096)
 //	-no-prune             make the exact-component polish use the exhaustive
 //	                      recursion instead of branch-and-bound (oracle)
-//	-no-fncache           disable the content-addressed per-function compile
-//	                      cache (differential oracle)
+//	-no-fncache           disable the per-function compile cache: every
+//	                      closure is compiled afresh (differential oracle)
 //	-objective o          tuned objective: size (default), weighted
 //	                      (bytes + lambda*cycles), cycles, or pareto (a
 //	                      lambda sweep printing the size/speed frontier);
@@ -57,19 +57,16 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"optinline/internal/autotune"
 	"optinline/internal/callgraph"
-	"optinline/internal/codegen"
+	"optinline/internal/cli"
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
 	"optinline/internal/interp"
-	"optinline/internal/ir"
 	"optinline/internal/link"
 	"optinline/internal/source"
 )
@@ -83,17 +80,16 @@ func main() {
 
 func run() error {
 	var (
+		eng          = cli.NewEngine(flag.CommandLine, "inlinetune")
+		lk           = cli.NewLink(flag.CommandLine)
+		target       = cli.Target(flag.CommandLine)
 		initMode     = flag.String("init", "both", "starting point: clean|os|both")
 		rounds       = flag.Int("rounds", 4, "tuning rounds")
-		targetName   = flag.String("target", "x86", "size model: x86|wasm")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
+		jobs         = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
 		dot          = flag.Bool("dot", false, "print tuned call graph as DOT")
 		groups       = flag.Bool("groups", false, "also test per-callee group inlining (paper 5.2.1 extension)")
 		incr         = flag.Bool("incremental", false, "incremental rounds: only re-tune changed regions (paper 6 extension)")
-		noDelta      = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
 		exactComps   = flag.Uint64("exact-components", 0, "re-solve components whose recursive space fits N evaluations exactly after the rounds (0 = off)")
-		noPrune      = flag.Bool("no-prune", false, "exhaustive recursion instead of branch-and-bound in the exact-component polish (differential oracle)")
-		noFnCache    = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
 		objective    = flag.String("objective", "size", "tuned objective: size|weighted|cycles|pareto")
 		lambda       = flag.Float64("lambda", 0.1, "cycle weight for -objective weighted")
 		lambdas      = flag.String("lambdas", "0.01,0.1,1", "interior weights for -objective pareto (comma-separated)")
@@ -102,47 +98,19 @@ func run() error {
 		fuel         = flag.Int64("fuel", 20_000_000, "profiling interpretation fuel")
 		cacheBytes   = flag.Int("cache-bytes", 0, "modelled i-cache capacity in bytes (0 = interpreter default)")
 		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricer evaluates whole configurations instead of repricing incrementally (differential oracle)")
-		cacheDir     = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a heap profile to this file at exit")
-		doLink       = flag.Bool("link", false, "link all argument files into one module and autotune it component-sharded")
 		noShard      = flag.Bool("no-shard", false, "with -link: whole-module tuner on one merged compiler (oracle)")
-		linkDup      = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
-		relink       = flag.String("relink", "", "with -link: replay an edit script against an incremental session")
-		noRelink     = flag.Bool("no-relink", false, "with -relink: cold full link at every step (differential oracle)")
 	)
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := eng.Start()
+	if err != nil {
+		return err
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "inlinetune: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "inlinetune: -memprofile:", err)
-			}
-		}()
-	}
-	if !*doLink && *relink == "" && flag.NArg() != 1 {
+	defer stop()
+	if !lk.Active() && flag.NArg() != 1 {
 		return fmt.Errorf("usage: inlinetune [flags] file.minc")
 	}
-	target := codegen.TargetX86
-	if *targetName == "wasm" {
-		target = codegen.TargetWASM
+	if _, ok := initModes[*initMode]; !ok {
+		return fmt.Errorf("unknown init mode %q", *initMode)
 	}
 	cf, err := parseCycleFlags(*objective, *lambda, *lambdas, *entryName, *entryArgs,
 		*fuel, *cacheBytes, *noCycleDelta)
@@ -152,35 +120,33 @@ func run() error {
 	if cf.objective != "size" && (*groups || *incr || *exactComps > 0) {
 		return fmt.Errorf("-objective %s does not combine with -groups, -incremental, or -exact-components", cf.objective)
 	}
-	fncache, err := compile.OpenFnCache(*cacheDir)
-	if err != nil {
-		return err
-	}
-	if *doLink || *relink != "" {
+	if lk.Active() {
 		if cf.objective == "pareto" {
 			return fmt.Errorf("-objective pareto does not combine with -link")
 		}
-		if *relink != "" {
+		if flag.NArg() == 0 {
+			return fmt.Errorf("usage: inlinetune -link [flags] a.minc b.minc ...")
+		}
+		opts := link.TuneOptions{ShardOptions: eng.Shard(*target, false, *jobs), Rounds: *rounds}
+		if lk.Relink != "" {
 			if *noShard {
 				return fmt.Errorf("-relink replay is always sharded; -no-shard applies to one-shot -link runs")
 			}
-			return runRelinkTune(flag.Args(), target, fncache, *cacheDir, *linkDup, *initMode,
-				*rounds, *workers, *noDelta, *noFnCache, cf, *relink, *noRelink)
+			err = runRelinkTune(lk, opts, *initMode, cf)
+		} else {
+			opts.NoShard = *noShard
+			err = runLinkTune(lk, opts, *initMode, cf)
 		}
-		return runLinkTune(flag.Args(), target, fncache, *cacheDir, *linkDup, *initMode,
-			*rounds, *workers, *noShard, *noDelta, *noFnCache, cf)
+		if err == nil {
+			eng.Finish()
+		}
+		return err
 	}
 	mod, err := source.Load(flag.Arg(0))
 	if err != nil {
 		return err
 	}
-	comp := compile.NewWithOptions(mod, target, compile.Options{FnCache: fncache})
-	if *noDelta {
-		comp.SetDelta(false)
-	}
-	if *noFnCache {
-		comp.SetFnCache(false)
-	}
+	comp := eng.NewCompiler(mod, *target, false)
 	g := comp.Graph()
 	osCfg := heuristic.OsConfig(comp.Module(), g)
 	osSize := comp.Size(osCfg)
@@ -188,18 +154,23 @@ func run() error {
 	fmt.Printf("%s: %d inlinable calls; no-inline %d bytes, -Os %d bytes\n",
 		flag.Arg(0), len(g.Edges), noInline, osSize)
 	if cf.objective != "size" {
-		return runCycleTune(comp, osCfg, cf, *initMode, *rounds, *workers)
+		if err := runCycleTune(comp, osCfg, cf, *initMode, *rounds, *jobs); err != nil {
+			return err
+		}
+		eng.Finish()
+		return nil
 	}
 
-	opts := autotune.Options{Rounds: *rounds, Workers: *workers}
-	tune := func(init *callgraph.Config) autotune.Result {
+	opts := autotune.Options{Rounds: *rounds, Workers: *jobs}
+	tune := func(fromOs bool) (autotune.Result, error) {
+		init := initConfig(fromOs, osCfg)
 		if *groups || *incr || *exactComps > 0 {
 			return autotune.TuneExtended(comp, init, autotune.ExtOptions{
 				Options: opts, GroupCallees: *groups, Incremental: *incr,
-				ExactComponents: *exactComps, NoPrune: *noPrune,
-			})
+				ExactComponents: *exactComps, NoPrune: eng.NoPrune,
+			}), nil
 		}
-		return autotune.Tune(comp, init, opts)
+		return autotune.Tune(comp, init, opts), nil
 	}
 	report := func(name string, res autotune.Result) {
 		fmt.Printf("\n%s (init %d bytes):\n", name, res.InitSize)
@@ -210,41 +181,65 @@ func run() error {
 		fmt.Printf("  best: %d bytes (%.1f%% of -Os), inlining %v\n",
 			res.Size, pct(res.Size, osSize), res.Config.InlineSites())
 	}
-
-	var best autotune.Result
-	switch *initMode {
-	case "clean":
-		best = tune(nil)
-		report("clean slate", best)
-	case "os":
-		best = tune(osCfg)
-		report("-Os initialized", best)
-	case "both":
-		clean := tune(nil)
-		inited := tune(osCfg)
-		report("clean slate", clean)
-		report("-Os initialized", inited)
-		best = clean
-		if inited.Size < best.Size {
-			best = inited
-		}
-	default:
-		return fmt.Errorf("unknown init mode %q", *initMode)
-	}
+	best, _, _ := tuneInits(*initMode, tune, report, func(r autotune.Result) float64 { return float64(r.Size) })
 
 	fmt.Printf("\nfinal: %d bytes = %.1f%% of -Os (%.1f%% of no-inline), %d compilations\n",
 		best.Size, pct(best.Size, osSize), pct(best.Size, noInline), comp.Evaluations())
-	if *cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinetune:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
+	eng.Finish()
 	if *dot {
 		fmt.Println()
 		fmt.Println(g.DOT(flag.Arg(0), best.Config))
 	}
 	return nil
+}
+
+// initModes maps each -init value to its starting points, in run order:
+// false is the clean slate, true the -Os configuration.
+var initModes = map[string][]bool{"clean": {false}, "os": {true}, "both": {false, true}}
+
+// tuneInits runs one tuning session per starting point of the -init mode,
+// then reports each (clean slate first) and returns the one of least cost,
+// the clean slate on a tie, together with all of them. Every tuning path —
+// single-file size and cycle objectives, -link and -relink — goes through
+// it, so they choose and print identically.
+func tuneInits[R any](mode string, tune func(fromOs bool) (R, error),
+	report func(name string, r R), cost func(R) float64) (best R, all []R, err error) {
+	starts := initModes[mode]
+	for _, fromOs := range starts {
+		r, err := tune(fromOs)
+		if err != nil {
+			return best, nil, err
+		}
+		all = append(all, r)
+	}
+	for i, fromOs := range starts {
+		name := "clean slate"
+		if fromOs {
+			name = "-Os initialized"
+		}
+		report(name, all[i])
+		if i == 0 || cost(all[i]) < cost(best) {
+			best = all[i]
+		}
+	}
+	return best, all, nil
+}
+
+// initConfig is the single-file starting configuration: nil (the clean
+// slate) or the -Os labels.
+func initConfig(fromOs bool, osCfg *callgraph.Config) *callgraph.Config {
+	if fromOs {
+		return osCfg
+	}
+	return nil
+}
+
+// linkInit is the linked-run starting point.
+func linkInit(fromOs bool) link.TuneInit {
+	if fromOs {
+		return link.InitOs
+	}
+	return link.InitClean
 }
 
 func pct(a, b int) float64 {
@@ -346,17 +341,12 @@ func runCycleTune(comp *compile.Compiler, osCfg *callgraph.Config, cf cycleFlags
 		return nil
 	}
 
-	cost := func(r autotune.Result) float64 {
+	tune := func(fromOs bool) (autotune.Result, error) {
+		init := initConfig(fromOs, osCfg)
 		if cf.objective == "cycles" {
-			return float64(r.Cycles)
+			return autotune.TuneCycles(comp, pricer, init, opts), nil
 		}
-		return float64(r.Size) + cf.lambda*float64(r.Cycles)
-	}
-	tune := func(init *callgraph.Config) autotune.Result {
-		if cf.objective == "cycles" {
-			return autotune.TuneCycles(comp, pricer, init, opts)
-		}
-		return autotune.TuneWeighted(comp, pricer, cf.lambda, init, opts)
+		return autotune.TuneWeighted(comp, pricer, cf.lambda, init, opts), nil
 	}
 	report := func(name string, res autotune.Result) {
 		fmt.Printf("\n%s, objective %s (init %d bytes, %d cycles):\n",
@@ -368,31 +358,24 @@ func runCycleTune(comp *compile.Compiler, osCfg *callgraph.Config, cf cycleFlags
 		fmt.Printf("  best: %d bytes, %d cycles, inlining %v\n",
 			res.Size, res.Cycles, res.Config.InlineSites())
 	}
-
-	var best autotune.Result
-	switch initMode {
-	case "clean":
-		best = tune(nil)
-		report("clean slate", best)
-	case "os":
-		best = tune(osCfg)
-		report("-Os initialized", best)
-	case "both":
-		clean := tune(nil)
-		inited := tune(osCfg)
-		report("clean slate", clean)
-		report("-Os initialized", inited)
-		best = clean
-		if cost(inited) < cost(best) {
-			best = inited
-		}
-	default:
-		return fmt.Errorf("unknown init mode %q", initMode)
-	}
+	best, _, _ := tuneInits(initMode, tune, report, func(r autotune.Result) float64 {
+		return cf.cost(r.Size, r.Cycles)
+	})
 	fmt.Printf("\nfinal: %d bytes, %d cycles, %d compilations\n",
 		best.Size, best.Cycles, comp.Evaluations())
 	fmt.Fprintf(os.Stderr, "cycle pricer: %v\n", pricer.Stats())
 	return nil
+}
+
+// cost is the objective value of a result with the given size and cycles.
+func (cf cycleFlags) cost(size int, cycles int64) float64 {
+	switch cf.objective {
+	case "cycles":
+		return float64(cycles)
+	case "weighted":
+		return float64(size) + cf.lambda*float64(cycles)
+	}
+	return float64(size)
 }
 
 func lambdaLabel(l float64) string {
@@ -416,52 +399,18 @@ func objectiveLabel(cf cycleFlags) string {
 // runLinkTune links the argument files and autotunes the merged module with
 // per-component lockstep sessions (or the -no-shard whole-module oracle).
 // stdout is mode-independent; counters go to stderr.
-func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache,
-	cacheDir, dupPolicy, initMode string, rounds, workers int,
-	noShard, noDelta, noFnCache bool, cf cycleFlags) error {
-	if len(files) == 0 {
-		return fmt.Errorf("usage: inlinetune -link [flags] a.minc b.minc ...")
+func runLinkTune(lk *cli.Link, opts link.TuneOptions, initMode string, cf cycleFlags) error {
+	lopts, err := lk.Options()
+	if err != nil {
+		return err
 	}
-	var dup link.DupPolicy
-	switch dupPolicy {
-	case "error":
-		dup = link.DupExportedError
-	case "rename":
-		dup = link.DupExportedRename
-	default:
-		return fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", dupPolicy)
-	}
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	l, err := link.New(tus, link.Options{DupExported: dup})
+	l, err := link.New(cli.FileTUs(flag.Args()), lopts)
 	if err != nil {
 		return err
 	}
 	pl := l.Plan()
 	printLinkTunePlanLine(pl)
 
-	opts := link.TuneOptions{
-		ShardOptions: link.ShardOptions{
-			Target:  target,
-			Compile: compile.Options{FnCache: fncache},
-			Configure: func(c *compile.Compiler) {
-				if noDelta {
-					c.SetDelta(false)
-				}
-				if noFnCache {
-					c.SetFnCache(false)
-				}
-			},
-			Workers: workers,
-			NoShard: noShard,
-		},
-		Rounds: rounds,
-	}
 	cycleAware := cf.objective != "size"
 	if cycleAware {
 		switch cf.objective {
@@ -493,56 +442,20 @@ func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache
 			res.Size, res.Cycles, res.Config.InlineCount(), len(pl.Edges))
 		printTuneComponents(tr)
 	}
-	tuneOne := func(init link.TuneInit) (link.TuneResult, error) {
+	tune := func(fromOs bool) (link.TuneResult, error) {
 		o := opts
-		o.Init = init
+		o.Init = linkInit(fromOs)
 		return l.Tune(o)
 	}
-
-	var best link.TuneResult
+	best, all, err := tuneInits(initMode, tune, report, func(tr link.TuneResult) float64 {
+		return cf.cost(tr.Result.Size, tr.Result.Cycles)
+	})
+	if err != nil {
+		return err
+	}
 	var evals int64
-	switch initMode {
-	case "clean":
-		tr, err := tuneOne(link.InitClean)
-		if err != nil {
-			return err
-		}
-		report("clean slate", tr)
-		best, evals = tr, tr.Evaluations
-	case "os":
-		tr, err := tuneOne(link.InitOs)
-		if err != nil {
-			return err
-		}
-		report("-Os initialized", tr)
-		best, evals = tr, tr.Evaluations
-	case "both":
-		clean, err := tuneOne(link.InitClean)
-		if err != nil {
-			return err
-		}
-		inited, err := tuneOne(link.InitOs)
-		if err != nil {
-			return err
-		}
-		report("clean slate", clean)
-		report("-Os initialized", inited)
-		best = clean
-		linkCost := func(tr link.TuneResult) float64 {
-			switch cf.objective {
-			case "cycles":
-				return float64(tr.Result.Cycles)
-			case "weighted":
-				return float64(tr.Result.Size) + cf.lambda*float64(tr.Result.Cycles)
-			}
-			return float64(tr.Result.Size)
-		}
-		if linkCost(inited) < linkCost(best) {
-			best = inited
-		}
-		evals = clean.Evaluations + inited.Evaluations
-	default:
-		return fmt.Errorf("unknown init mode %q", initMode)
+	for _, tr := range all {
+		evals += tr.Evaluations
 	}
 	if cycleAware {
 		fmt.Printf("\nfinal: %d bytes, %d cycles, inlining %d of %d sites\n",
@@ -555,12 +468,6 @@ func runLinkTune(files []string, target codegen.Target, fncache *compile.FnCache
 
 	fmt.Fprintf(os.Stderr, "evaluations: %d compilations (config cache %v)\n", evals, best.ConfigCache)
 	fmt.Fprintf(os.Stderr, "function cache: %v\n", best.FuncCache)
-	if cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinetune:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
 	return nil
 }
 
@@ -591,197 +498,33 @@ func reportLinkTuneSize(pl *link.Plan, name string, tr link.TuneResult) {
 	printTuneComponents(tr)
 }
 
-// runRelinkTune replays a -relink edit script of patch and tune steps.
-// Warm mode drives an incremental link.Session: a tune step replays the
-// recorded per-round trace of every content-unchanged component and probes
-// edges only in dirty ones. -no-relink re-links and re-tunes from scratch
-// at every step — the differential oracle whose stdout must byte-match.
-// Cycle objectives are rejected up front in BOTH modes (the session's
-// typed link.CycleObjectiveError would only fire warm, and a mode-
-// dependent error would break the byte-diff).
-func runRelinkTune(files []string, target codegen.Target, fncache *compile.FnCache,
-	cacheDir, dupPolicy, initMode string, rounds, workers int,
-	noDelta, noFnCache bool, cf cycleFlags, script string, noRelink bool) error {
-	if len(files) == 0 {
-		return fmt.Errorf("usage: inlinetune -relink script [flags] a.minc b.minc ...")
-	}
+// runRelinkTune replays a -relink edit script of patch and tune steps; a
+// warm tune step replays the recorded per-round trace of every
+// content-unchanged component and probes edges only in dirty ones. Cycle
+// objectives are rejected up front in both modes: the session's typed
+// link.CycleObjectiveError would only fire warm, and a mode-dependent
+// error would break the -no-relink byte-diff.
+func runRelinkTune(lk *cli.Link, opts link.TuneOptions, initMode string, cf cycleFlags) error {
 	if cf.objective != "size" {
 		return fmt.Errorf("-relink replays the size objective only; -objective %s needs a whole-program profile that edits invalidate (run one-shot -link instead)", cf.objective)
 	}
-	switch initMode {
-	case "clean", "os", "both":
-	default:
-		return fmt.Errorf("unknown init mode %q", initMode)
-	}
-	var dup link.DupPolicy
-	switch dupPolicy {
-	case "error":
-		dup = link.DupExportedError
-	case "rename":
-		dup = link.DupExportedRename
-	default:
-		return fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", dupPolicy)
-	}
-	scriptData, err := os.ReadFile(script)
-	if err != nil {
-		return fmt.Errorf("-relink: %w", err)
-	}
-	ops, err := link.ParseEditScript(scriptData)
-	if err != nil {
-		return fmt.Errorf("-relink %s: %w", script, err)
-	}
-	scriptDir := filepath.Dir(script)
-
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	var sess *link.Session
-	cur := append([]link.TU(nil), tus...) // -no-relink: current contents
-	if !noRelink {
-		sess, err = link.NewSession(tus, link.SessionOptions{Link: link.Options{DupExported: dup}})
+	return lk.Replay(flag.Args(), "tune", func(st *cli.Step) error {
+		fmt.Printf("== step %d: tune ==\n", st.N)
+		printLinkTunePlanLine(st.Plan)
+		tune := func(fromOs bool) (link.TuneResult, error) {
+			o := opts
+			o.Init = linkInit(fromOs)
+			return st.Tune(o)
+		}
+		report := func(name string, tr link.TuneResult) { reportLinkTuneSize(st.Plan, name, tr) }
+		best, _, err := tuneInits(initMode, tune, report, func(tr link.TuneResult) float64 {
+			return float64(tr.Result.Size)
+		})
 		if err != nil {
 			return err
 		}
-	} else if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-		return err
-	}
-
-	opts := link.TuneOptions{
-		ShardOptions: link.ShardOptions{
-			Target:  target,
-			Compile: compile.Options{FnCache: fncache},
-			Configure: func(c *compile.Compiler) {
-				if noDelta {
-					c.SetDelta(false)
-				}
-				if noFnCache {
-					c.SetFnCache(false)
-				}
-			},
-			Workers: workers,
-		},
-		Rounds: rounds,
-	}
-	for step, op := range ops {
-		switch op.Verb {
-		case "patch":
-			path := op.Path
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(scriptDir, path)
-			}
-			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
-			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			if noRelink {
-				idx := -1
-				for i := range cur {
-					if cur[i].Name == op.TU {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 {
-					return fmt.Errorf("step %d: link: no unit named %q", step+1, op.TU)
-				}
-				cur[idx] = tu
-				if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-			} else {
-				rep, err := sess.ReplaceNamed(tu)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				if rep.PlanReused {
-					fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-				} else {
-					fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-				}
-			}
-		case "tune":
-			fmt.Printf("== step %d: tune ==\n", step+1)
-			var (
-				pl      *link.Plan
-				tuneOne func(link.TuneInit) (link.TuneResult, link.RelinkInfo, error)
-			)
-			if noRelink {
-				l, err := link.New(cur, link.Options{DupExported: dup})
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				pl = l.Plan()
-				tuneOne = func(init link.TuneInit) (link.TuneResult, link.RelinkInfo, error) {
-					o := opts
-					o.Init = init
-					tr, err := l.Tune(o)
-					return tr, link.RelinkInfo{}, err
-				}
-			} else {
-				pl = sess.Plan()
-				tuneOne = func(init link.TuneInit) (link.TuneResult, link.RelinkInfo, error) {
-					o := opts
-					o.Init = init
-					return sess.Tune(o)
-				}
-			}
-			printLinkTunePlanLine(pl)
-			reportInfo := func(init string, info link.RelinkInfo) {
-				if noRelink {
-					return
-				}
-				fmt.Fprintf(os.Stderr, "step %d (%s): components solved %d, replayed %d; residual solved %d, replayed %d\n",
-					step+1, init, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
-			}
-			var best link.TuneResult
-			switch initMode {
-			case "clean":
-				tr, info, err := tuneOne(link.InitClean)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				reportLinkTuneSize(pl, "clean slate", tr)
-				reportInfo("clean", info)
-				best = tr
-			case "os":
-				tr, info, err := tuneOne(link.InitOs)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				reportLinkTuneSize(pl, "-Os initialized", tr)
-				reportInfo("os", info)
-				best = tr
-			case "both":
-				clean, cInfo, err := tuneOne(link.InitClean)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				inited, oInfo, err := tuneOne(link.InitOs)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				reportLinkTuneSize(pl, "clean slate", clean)
-				reportLinkTuneSize(pl, "-Os initialized", inited)
-				reportInfo("clean", cInfo)
-				reportInfo("os", oInfo)
-				best = clean
-				if inited.Result.Size < best.Result.Size {
-					best = inited
-				}
-			}
-			fmt.Printf("\nfinal: %d bytes, inlining %d of %d sites\n",
-				best.Result.Size, best.Result.Config.InlineCount(), len(pl.Edges))
-		case "search":
-			return fmt.Errorf("step %d: search steps replay with inlinesearch -relink", step+1)
-		}
-	}
-	if cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "inlinetune:", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
-	return nil
+		fmt.Printf("\nfinal: %d bytes, inlining %d of %d sites\n",
+			best.Result.Size, best.Result.Config.InlineCount(), len(st.Plan.Edges))
+		return nil
+	})
 }

@@ -32,11 +32,11 @@
 //	                               engine for -inline tune|optimal
 //	-no-prune                      disable the branch-and-bound layer for
 //	                               -inline optimal (differential oracle)
-//	-no-fncache                    disable the content-addressed per-function
-//	                               compile cache (differential oracle)
+//	-no-fncache                    disable the per-function compile cache:
+//	                               every closure is compiled afresh
+//	                               (differential oracle)
 //	-cache-dir d                   persist the per-function content cache in
 //	                               directory d across runs
-//	-cache-stats                   print content-cache counters to stderr
 //	-cpuprofile f                  write a CPU profile to f
 //	-memprofile f                  write a heap profile to f at exit
 package main
@@ -45,15 +45,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 
 	"optinline/internal/autotune"
 	"optinline/internal/callgraph"
+	"optinline/internal/cli"
 	"optinline/internal/codegen"
-	"optinline/internal/compile"
 	"optinline/internal/heuristic"
 	"optinline/internal/interp"
 	"optinline/internal/ir"
@@ -84,111 +81,60 @@ func main() {
 
 func run() error {
 	var (
+		eng        = cli.NewEngine(flag.CommandLine, "mincc")
+		lk         = cli.NewLink(flag.CommandLine)
+		target     = cli.Target(flag.CommandLine)
 		inlineMode = flag.String("inline", "os", "inlining strategy: none|os|tune|optimal")
-		targetName = flag.String("target", "x86", "size model: x86|wasm")
 		listing    = flag.Bool("S", false, "print pseudo-assembly listing")
 		emitIR     = flag.Bool("emit-ir", false, "print optimized IR")
 		entry      = flag.String("run", "", "interpret this entry function after compiling")
 		rounds     = flag.Int("rounds", 1, "autotuner rounds for -inline tune")
 		doOutline  = flag.Bool("outline", false, "run the size outliner after inlining")
 		check      = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass")
-		noDelta    = flag.Bool("no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-		noPrune    = flag.Bool("no-prune", false, "disable the branch-and-bound search layer for -inline optimal (differential oracle)")
-		noFnCache  = flag.Bool("no-fncache", false, "disable the content-addressed per-function cache (differential oracle)")
-		cacheDir   = flag.String("cache-dir", "", "persist the per-function content cache in this directory")
-		cacheStats = flag.Bool("cache-stats", false, "print content-cache counters to stderr")
-		doLink     = flag.Bool("link", false, "link all argument files into one module before inlining")
-		linkDup    = flag.String("link-dup", "error", "with -link: duplicate exported symbol policy: error|rename")
-		relink     = flag.String("relink", "", "replay an edit script against an incremental re-link session (-inline optimal only)")
-		noRelink   = flag.Bool("no-relink", false, "with -relink: cold full link at every step (differential oracle)")
-		cpuProf    = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		args       intList
 	)
 	flag.Var(&args, "arg", "integer argument for -run (repeatable)")
 	flag.Parse()
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stop, err := eng.Start()
+	if err != nil {
+		return err
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "mincc: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "mincc: -memprofile:", err)
-			}
-		}()
-	}
-	if *doLink || *relink != "" {
+	defer stop()
+	if lk.Active() {
 		if flag.NArg() == 0 {
 			return fmt.Errorf("usage: mincc -link [flags] a.minc b.minc ...")
 		}
 	} else if flag.NArg() != 1 {
 		return fmt.Errorf("usage: mincc [flags] file.minc")
 	}
-	target := codegen.TargetX86
-	switch *targetName {
-	case "x86":
-	case "wasm":
-		target = codegen.TargetWASM
-	default:
-		return fmt.Errorf("unknown target %q", *targetName)
-	}
-	if *relink != "" {
+	if lk.Relink != "" {
 		if *inlineMode != "optimal" {
 			return fmt.Errorf("-relink caches per-component optima; it requires -inline optimal (got -inline %s)", *inlineMode)
 		}
-		dup, err := parseDupPolicy(*linkDup)
-		if err != nil {
+		if err := runRelinkCC(lk, link.SearchOptions{
+			ShardOptions: eng.Shard(*target, *check, 0),
+			MaxSpace:     1 << 22,
+			NoPrune:      eng.NoPrune,
+		}); err != nil {
 			return err
 		}
-		fncache, err := compile.OpenFnCache(*cacheDir)
-		if err != nil {
-			return err
-		}
-		return runRelinkCC(*relink, flag.Args(), target, dup, fncache, *cacheDir,
-			*check, *noDelta, *noPrune, *noFnCache, *noRelink, *cacheStats)
+		eng.Finish()
+		return nil
 	}
 
 	var mod *ir.Module
-	if *doLink {
-		dup, err := parseDupPolicy(*linkDup)
+	if lk.Enabled {
+		lopts, err := lk.Options()
 		if err != nil {
 			return err
 		}
-		if mod, err = link.Link(fileTUs(flag.Args()), link.Options{DupExported: dup}); err != nil {
+		if mod, err = link.Link(cli.FileTUs(flag.Args()), lopts); err != nil {
 			return err
 		}
-	} else {
-		var err error
-		if mod, err = source.Load(flag.Arg(0)); err != nil {
-			return err
-		}
-	}
-	fncache, err := compile.OpenFnCache(*cacheDir)
-	if err != nil {
+	} else if mod, err = source.Load(flag.Arg(0)); err != nil {
 		return err
 	}
-	comp := compile.NewWithOptions(mod, target, compile.Options{Check: *check, FnCache: fncache})
-	if *noDelta {
-		comp.SetDelta(false)
-	}
-	if *noFnCache {
-		comp.SetFnCache(false)
-	}
+	comp := eng.NewCompiler(mod, *target, *check)
 	g := comp.Graph()
 
 	var cfg *callgraph.Config
@@ -202,7 +148,7 @@ func run() error {
 		best, _, _ := autotune.Combined(comp, init, autotune.Options{Rounds: *rounds})
 		cfg = best.Config
 	case "optimal":
-		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22, NoPrune: *noPrune})
+		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22, NoPrune: eng.NoPrune})
 		if !ok {
 			return fmt.Errorf("search space too large for exhaustive search (%d+ evaluations); use -inline tune", res.SpaceSize)
 		}
@@ -221,37 +167,30 @@ func run() error {
 		return cerr
 	}
 	if *doOutline {
-		st := outline.Module(built, outline.Options{Target: target})
+		st := outline.Module(built, outline.Options{Target: *target})
 		if st.FunctionsCreated > 0 {
 			fmt.Printf("outliner: %d functions extracted, %d calls inserted\n",
 				st.FunctionsCreated, st.CallsInserted)
 		}
 	}
-	size := codegen.ModuleSize(built, target)
+	size := codegen.ModuleSize(built, *target)
 	label := flag.Arg(0)
-	if *doLink {
+	if lk.Enabled {
 		label = fmt.Sprintf("linked(%d files)", flag.NArg())
 	}
 	fmt.Printf("%s: %d inlinable calls, %d inlined, .text %d bytes (%s, -inline %s)\n",
-		label, len(g.Edges), cfg.InlineCount(), size, target, *inlineMode)
-	if *cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "mincc:", err)
-		}
-	}
-	if *cacheStats {
-		fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
-	}
+		label, len(g.Edges), cfg.InlineCount(), size, *target, *inlineMode)
+	eng.Finish()
 
 	if *emitIR {
 		fmt.Println(built.String())
 	}
 	if *listing {
-		fmt.Println(codegen.Listing(built, target))
+		fmt.Println(codegen.Listing(built, *target))
 	}
 	if *entry != "" {
 		res, err := interp.Run(built, *entry, args, interp.Options{
-			SizeOf: codegen.SizeOf(built, target),
+			SizeOf: codegen.SizeOf(built, *target),
 		})
 		if err != nil {
 			return err
@@ -262,151 +201,20 @@ func run() error {
 	return nil
 }
 
-func parseDupPolicy(name string) (link.DupPolicy, error) {
-	switch name {
-	case "error":
-		return link.DupExportedError, nil
-	case "rename":
-		return link.DupExportedRename, nil
-	}
-	return 0, fmt.Errorf("-link-dup: unknown policy %q (want error or rename)", name)
-}
-
-func fileTUs(files []string) []link.TU {
-	tus := make([]link.TU, 0, len(files))
-	for _, path := range files {
-		path := path
-		tus = append(tus, link.LazyTU(path, func() (*ir.Module, error) {
-			return source.Load(path)
-		}))
-	}
-	return tus
-}
-
-// runRelinkCC replays a -relink edit script: patch steps swap one unit's
-// contents, search steps print the mincc one-line summary of the linked
-// optimum — computed from the search result alone, without materializing
-// the linked module. Warm mode drives an incremental link.Session;
-// -no-relink re-links and re-searches from scratch at every step, and the
-// two stdouts are byte-identical (the ci.sh gate diffs them).
-func runRelinkCC(script string, files []string, target codegen.Target, dup link.DupPolicy,
-	fncache *compile.FnCache, cacheDir string,
-	check, noDelta, noPrune, noFnCache, noRelink, cacheStats bool) error {
-	scriptData, err := os.ReadFile(script)
-	if err != nil {
-		return fmt.Errorf("-relink: %w", err)
-	}
-	ops, err := link.ParseEditScript(scriptData)
-	if err != nil {
-		return fmt.Errorf("-relink %s: %w", script, err)
-	}
-	scriptDir := filepath.Dir(script)
-
-	tus := fileTUs(files)
-	var sess *link.Session
-	cur := append([]link.TU(nil), tus...) // -no-relink: current contents
-	if !noRelink {
-		sess, err = link.NewSession(tus, link.SessionOptions{Link: link.Options{DupExported: dup}})
+// runRelinkCC replays a -relink edit script: search steps print the mincc
+// one-line summary of the linked optimum, computed from the search result
+// alone, without materializing the linked module.
+func runRelinkCC(lk *cli.Link, opts link.SearchOptions) error {
+	return lk.Replay(flag.Args(), "search", func(st *cli.Step) error {
+		res, ok, err := st.Search(opts)
 		if err != nil {
 			return err
 		}
-	} else if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-		return err
-	}
-
-	opts := link.SearchOptions{
-		ShardOptions: link.ShardOptions{
-			Target:  target,
-			Compile: compile.Options{Check: check, FnCache: fncache},
-			Configure: func(c *compile.Compiler) {
-				if noDelta {
-					c.SetDelta(false)
-				}
-				if noFnCache {
-					c.SetFnCache(false)
-				}
-			},
-		},
-		MaxSpace: 1 << 22,
-		NoPrune:  noPrune,
-	}
-	for step, op := range ops {
-		switch op.Verb {
-		case "patch":
-			path := op.Path
-			if !filepath.IsAbs(path) {
-				path = filepath.Join(scriptDir, path)
-			}
-			fmt.Printf("== step %d: patch %s <- %s ==\n", step+1, op.TU, op.Path)
-			tu := link.LazyTU(op.TU, func() (*ir.Module, error) { return source.Load(path) })
-			if noRelink {
-				idx := -1
-				for i := range cur {
-					if cur[i].Name == op.TU {
-						idx = i
-						break
-					}
-				}
-				if idx < 0 {
-					return fmt.Errorf("step %d: link: no unit named %q", step+1, op.TU)
-				}
-				cur[idx] = tu
-				if _, err := link.New(cur, link.Options{DupExported: dup}); err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-			} else {
-				rep, err := sess.ReplaceNamed(tu)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				if rep.PlanReused {
-					fmt.Fprintf(os.Stderr, "step %d: body-only edit, plan reused\n", step+1)
-				} else {
-					fmt.Fprintf(os.Stderr, "step %d: link surface changed, plan rebuilt\n", step+1)
-				}
-			}
-		case "search":
-			var (
-				pl  *link.Plan
-				res link.SearchResult
-				ok  bool
-			)
-			if noRelink {
-				l, err := link.New(cur, link.Options{DupExported: dup})
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				pl = l.Plan()
-				res, ok, err = l.OptimalSearch(opts)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-			} else {
-				pl = sess.Plan()
-				var info link.RelinkInfo
-				res, info, ok, err = sess.Search(opts)
-				if err != nil {
-					return fmt.Errorf("step %d: %w", step+1, err)
-				}
-				fmt.Fprintf(os.Stderr, "step %d: components solved %d, replayed %d; residual solved %d, replayed %d\n",
-					step+1, info.ComponentsSolved, info.ComponentsReplayed, info.ResidualSolved, info.ResidualReplayed)
-			}
-			if !ok {
-				return fmt.Errorf("step %d: search space too large for exhaustive search; use inlinesearch -relink -max-space", step+1)
-			}
-			fmt.Printf("linked(%d files): %d inlinable calls, %d inlined, .text %d bytes (%s, -inline optimal)\n",
-				len(files), len(pl.Edges), res.Config.InlineCount(), res.Size, target)
-		case "tune":
-			return fmt.Errorf("step %d: tune steps replay with inlinetune -relink", step+1)
+		if !ok {
+			return fmt.Errorf("step %d: search space too large for exhaustive search; use inlinesearch -relink -max-space", st.N)
 		}
-	}
-	if cacheDir != "" {
-		if err := fncache.Save(); err != nil {
-			fmt.Fprintln(os.Stderr, "mincc:", err)
-		}
-	}
-	if cacheStats {
-		fmt.Fprintf(os.Stderr, "fn content cache: %v\n", fncache.Stats())
-	}
-	return nil
+		fmt.Printf("linked(%d files): %d inlinable calls, %d inlined, .text %d bytes (%s, -inline optimal)\n",
+			flag.NArg(), len(st.Plan.Edges), res.Config.InlineCount(), res.Size, opts.Target)
+		return nil
+	})
 }

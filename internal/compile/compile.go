@@ -1,8 +1,8 @@
 // Package compile is the driver that turns an inlining configuration into a
 // binary size: clone → inline → optimize → label-based dead-function
 // elimination → measure. It memoizes sizes at two levels — by canonical
-// whole-module configuration key, and per function keyed by (module
-// fingerprint, function, inline closure labels; see memo.go) — and is safe
+// whole-module configuration key, and per function keyed by the content of
+// its inline closure (see memo.go and fncache.go) — and is safe
 // for concurrent use, which the search and the autotuner exploit (the paper calls both "embarrassingly parallel"). Both
 // caches are single-flight: concurrent requests for the same key share one
 // compilation, which also makes evaluation counters schedule-independent.
@@ -176,11 +176,9 @@ func (c *Compiler) SetMemoize(on bool) { c.memoize = on }
 func (c *Compiler) SetDelta(on bool) { c.delta = on }
 
 // SetFnCache switches the content-addressed per-function cache on or off
-// (on by default). Off, per-function sizes are keyed by the legacy
-// (module fingerprint, function name, closure site list) string — an
-// identity with no cross-module or cross-run sharing — which is the
-// differential oracle behind the CLIs' -no-fncache flags. Not safe to call
-// concurrently with Size.
+// (on by default). Off, every per-function size is compiled afresh — no
+// per-function cache at all — which is the differential oracle behind the
+// CLIs' -no-fncache flags. Not safe to call concurrently with Size.
 func (c *Compiler) SetFnCache(on bool) { c.fncacheOn = on }
 
 // FnCacheEnabled reports whether per-function sizes go through the content
@@ -201,8 +199,7 @@ func (c *Compiler) FnCache() *FnCache { return c.fncache }
 // exactly the work being checked.
 func (c *Compiler) DeltaEnabled() bool { return c.delta && c.memoize && !c.check }
 
-// Fingerprint returns the base module's fingerprint; per-function cache
-// entries are keyed under it.
+// Fingerprint returns the base module's structural fingerprint.
 func (c *Compiler) Fingerprint() uint64 { return c.fingerprint }
 
 // Graph returns the inlining-candidate call graph of the base module.

@@ -257,7 +257,7 @@ func (p *CyclePricer) bodyCost(fn *ir.Function) int64 {
 // content-addressed closureKey the size memo uses, so equal keys imply
 // bit-identical final bodies).
 func (p *CyclePricer) closureCost(fi *funcInfo, cfg *callgraph.Config) (int64, int32, bool) {
-	members, _ := p.c.memo.closure(fi, cfg)
+	members := p.c.memo.closure(fi, cfg)
 	v, _, _ := p.costs.Do(p.c.closureKey(fi, members, cfg), func() (closureCostVal, error) {
 		return p.compileClosureCost(fi, members, cfg), nil
 	})

@@ -14,11 +14,10 @@ import (
 	"optinline/internal/ir"
 )
 
-// This file implements the content-addressed per-function compile cache:
-// the layer below the string-keyed per-module memo (memo.go). Where the
-// memo keys an entry by (module fingerprint, function name, inline-closure
-// site list) — an identity valid only within one Compiler — the FnCache
-// keys it by the *content* of the compilation: the structural fingerprints
+// This file implements the content-addressed per-function compile cache
+// behind the per-closure memo (memo.go). Rather than an identity valid only
+// within one Compiler (module, function name, inline-closure site list),
+// the FnCache keys an entry by the *content* of the compilation: the structural fingerprints
 // of the closure's members, the canonicalized site labels inside it, and
 // the pipeline version. Two closures with equal content keys produce
 // byte-identical post-inline functions and therefore equal sizes, no matter

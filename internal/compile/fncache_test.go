@@ -52,7 +52,7 @@ func fuzzConfigs(c *Compiler, rng *rand.Rand, trials int) []*callgraph.Config {
 
 // TestFnCacheDifferentialFuzz is the content cache's differential front:
 // across 30 generated MinC programs and sampled configurations, sizes from
-// the content-addressed path, the legacy-keyed -no-fncache path, and
+// the content-addressed path, the uncached -no-fncache path, and
 // checked compilation mode must agree exactly. All 30 programs share ONE
 // FnCache — the corpus-sharing mode inlinebench runs in — so cross-module
 // key collisions would surface here as wrong sizes.
@@ -434,7 +434,7 @@ func TestFnCacheKeyBindsNamesToBodies(t *testing.T) {
 		}
 		return cfg
 	}
-	// Ground truth from the legacy per-module path, no content sharing.
+	// Ground truth from the uncached -no-fncache path, no content sharing.
 	pa := New(parse(swappedASrc), codegen.TargetX86)
 	pa.SetFnCache(false)
 	pb := New(parse(swappedBSrc), codegen.TargetX86)

@@ -1,16 +1,12 @@
 package compile
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
-	"optinline/internal/flight"
 	"optinline/internal/inline"
 	"optinline/internal/ir"
 	"optinline/internal/opt"
@@ -21,8 +17,7 @@ import (
 // function's post-pipeline encoded size is cached per inline closure. By
 // default the entry lives in the content-addressed FnCache (fncache.go)
 // under a module-independent structural key (closureKey below); with the
-// content cache disabled it falls back to the legacy per-module key
-// (module fingerprint, function, inlined sites in its inline closure),
+// content cache disabled every closure is compiled afresh on each request,
 // which is the -no-fncache differential oracle.
 //
 // The inline closure of a function f under a configuration is the smallest
@@ -102,10 +97,6 @@ type memoState struct {
 	rev       [][]int32 // callee idx -> caller idxs
 	ancOnce   sync.Once
 	ancestors [][]int32
-
-	// entries caches sizes under the legacy per-module string key (the
-	// -no-fncache oracle; see funcSize).
-	entries flight.Group[string, int]
 }
 
 // buildMemo indexes site ownership per function.
@@ -225,19 +216,15 @@ func (ms *memoState) alive(fi *funcInfo, cfg *callgraph.Config) bool {
 	return false
 }
 
-// closure returns f's inline closure under cfg (module order) and the
-// inline-labeled sites owned by its members — the cache identity of f's
-// final code.
-func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) ([]*funcInfo, []int) {
+// closure returns f's inline closure under cfg, in module order.
+func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) []*funcInfo {
 	members := []*funcInfo{f}
 	seen := map[*funcInfo]bool{f: true}
-	var inlined []int
 	for i := 0; i < len(members); i++ {
 		for _, s := range members[i].sites {
 			if !cfg.Inline(s) {
 				continue
 			}
-			inlined = append(inlined, s)
 			if callee := ms.siteCallee[s]; !seen[callee] {
 				seen[callee] = true
 				members = append(members, callee)
@@ -249,8 +236,7 @@ func (ms *memoState) closure(f *funcInfo, cfg *callgraph.Config) ([]*funcInfo, [
 	// fixpoint depends on that order. Keeping it makes the sub-module
 	// queue an exact projection of the whole-module one.
 	sort.Slice(members, func(i, j int) bool { return members[i].idx < members[j].idx })
-	sort.Ints(inlined)
-	return members, inlined
+	return members
 }
 
 // measureMemo is the memoized equivalent of one whole-module pipeline run:
@@ -273,37 +259,25 @@ func (c *Compiler) measureMemo(cfg *callgraph.Config) int {
 	return total
 }
 
-// funcSize returns fi's post-pipeline encoded size under cfg, computing it
-// at most once per closure configuration (single-flight, so concurrent
-// search workers requesting the same closure share one compilation).
+// funcSize returns fi's post-pipeline encoded size under cfg.
 //
 // With the content cache on (the default), the entry lives in the shared
-// FnCache under a content-derived key, so it is found by any compiler whose
-// closure has the same structure — other configurations, other corpus
-// files, other runs. The legacy per-module string key below is the
-// -no-fncache differential oracle.
+// FnCache under a content-derived key, computed at most once per closure
+// (single-flight, so concurrent search workers requesting the same closure
+// share one compilation) and found by any compiler whose closure has the
+// same structure — other configurations, other corpus files, other runs.
+// With it off (-no-fncache) every request compiles the closure afresh and
+// counts a miss: the oracle that checks closureKey's soundness.
 func (c *Compiler) funcSize(fi *funcInfo, cfg *callgraph.Config) int {
-	members, inlined := c.memo.closure(fi, cfg)
-	if c.fncacheOn {
-		key := c.closureKey(fi, members, cfg)
-		return c.fncache.sizeOf(key, &c.funcHits, &c.funcMisses, func() int {
-			return c.compileClosure(fi, members, cfg)
-		})
+	members := c.memo.closure(fi, cfg)
+	if !c.fncacheOn {
+		c.funcMisses.Add(1)
+		return c.compileClosure(fi, members, cfg)
 	}
-
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%016x/%s/", c.fingerprint, fi.name)
-	for i, s := range inlined {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(s))
-	}
-	size, hit, _ := c.memo.entries.Do(sb.String(), func() (int, error) {
-		return c.compileClosure(fi, members, cfg), nil
+	key := c.closureKey(fi, members, cfg)
+	return c.fncache.sizeOf(key, &c.funcHits, &c.funcMisses, func() int {
+		return c.compileClosure(fi, members, cfg)
 	})
-	countLookup(hit, &c.funcHits, &c.funcMisses)
-	return size
 }
 
 // countLookup charges one cache request to the requesting compiler's own

@@ -32,16 +32,12 @@ type Config struct {
 	ExhaustiveCap uint64
 	// Rounds for round-based autotuning; 0 defaults to 4.
 	Rounds int
-	// DisableMemo turns off the per-function memoized compile path on
-	// every compiler in the corpus. Debug/measurement knob: it exists so
-	// the memo engine's speedup can be measured on one machine with one
-	// binary (inlinebench -no-memo).
-	DisableMemo bool
-	// DisableDelta turns off the incremental delta-evaluation path on
-	// every compiler in the corpus, keeping the memoized whole-config path
-	// as a differential oracle (inlinebench -no-delta). Output must be
-	// byte-identical either way.
-	DisableDelta bool
+	// Configure, when non-nil, runs on every per-file compiler of the
+	// corpus after construction — the hook inlinebench applies its
+	// -no-memo, -no-delta and -no-fncache switches through (the same hook
+	// link.ShardOptions takes). Those switches are differential oracles:
+	// output must be byte-identical either way.
+	Configure func(*compile.Compiler)
 	// Checked runs every compiler in checked compilation mode
 	// (compile.Options.Check): invariants verified after every inline step
 	// and opt pass. Much slower; regression tripwire for inlinebench -check.
@@ -51,11 +47,6 @@ type Config struct {
 	// exhaustive recursion instead (inlinebench -no-prune). Differential
 	// oracle: output must be byte-identical either way.
 	DisablePrune bool
-	// DisableFnCache turns off the content-addressed per-function compile
-	// cache on every compiler, falling back to the legacy per-module memo
-	// keys (inlinebench -no-fncache). Differential oracle: output must be
-	// byte-identical either way.
-	DisableFnCache bool
 	// FnCache, when non-nil, is the content-addressed cache shared by every
 	// compiler in the corpus — typically compile.OpenFnCache(dir) so sizes
 	// persist across runs. Nil creates a fresh in-memory cache, still
@@ -250,14 +241,8 @@ func NewHarness(cfg Config) *Harness {
 		f := jobs[i].file
 		comp := compile.NewWithOptions(f.Module, codegen.TargetX86,
 			compile.Options{Check: cfg.Checked, FnCache: h.fncache})
-		if cfg.DisableMemo {
-			comp.SetMemoize(false)
-		}
-		if cfg.DisableDelta {
-			comp.SetDelta(false)
-		}
-		if cfg.DisableFnCache {
-			comp.SetFnCache(false)
+		if cfg.Configure != nil {
+			cfg.Configure(comp)
 		}
 		g := comp.Graph()
 		if len(g.Edges) == 0 {
@@ -311,12 +296,6 @@ func (h *Harness) FuncCacheStats() stats.CacheStats {
 // FnCache returns the content-addressed per-function cache shared by the
 // corpus compilers (for Save after a -cache-dir run).
 func (h *Harness) FnCache() *compile.FnCache { return h.fncache }
-
-// FnCacheStats returns the shared content cache's counters: hits here mean
-// a function compilation was skipped because some compiler — any file, any
-// configuration, or a previous persisted run — already compiled a closure
-// with identical content.
-func (h *Harness) FnCacheStats() compile.FnCacheStats { return h.fncache.Stats() }
 
 // DeltaStats aggregates the incremental-evaluation counters over every
 // compiler in the corpus.
