@@ -162,6 +162,16 @@ if ! grep -q '^optimal:' <<<"${link_sharded}"; then
   echo "${link_sharded}"
   exit 1
 fi
+# The same identity for the linked tuner: the lockstep per-component
+# sessions and the -no-shard whole-module tuner must print the same rounds,
+# sizes and sites.
+tune_sharded="$(go run ./cmd/inlinetune -link -link-dup rename "${link_files[@]}" 2>/dev/null)"
+tune_merged="$(go run ./cmd/inlinetune -link -link-dup rename -no-shard "${link_files[@]}" 2>/dev/null)"
+if [[ "${tune_sharded}" != "${tune_merged}" ]]; then
+  echo "linked tune: sharded / -no-shard disagree:"
+  diff <(echo "${tune_sharded}") <(echo "${tune_merged}") || true
+  exit 1
+fi
 # Sharded bench smoke: one iteration of the plan-build scaling benchmark
 # (all four linked profiles, including the 10x/30x mega-modules) catches
 # linker or generator regressions without paying search time.

@@ -161,16 +161,13 @@ func run() error {
 		return nil
 	}
 
-	opts := autotune.Options{Rounds: *rounds, Workers: *jobs}
+	opts := autotune.ExtOptions{
+		Options:      autotune.Options{Rounds: *rounds, Workers: *jobs},
+		GroupCallees: *groups, Incremental: *incr,
+		ExactComponents: *exactComps, NoPrune: eng.NoPrune,
+	}
 	tune := func(fromOs bool) (autotune.Result, error) {
-		init := initConfig(fromOs, osCfg)
-		if *groups || *incr || *exactComps > 0 {
-			return autotune.TuneExtended(comp, init, autotune.ExtOptions{
-				Options: opts, GroupCallees: *groups, Incremental: *incr,
-				ExactComponents: *exactComps, NoPrune: eng.NoPrune,
-			}), nil
-		}
-		return autotune.Tune(comp, init, opts), nil
+		return autotune.TuneExtended(comp, initConfig(fromOs, osCfg), opts), nil
 	}
 	report := func(name string, res autotune.Result) {
 		fmt.Printf("\n%s (init %d bytes):\n", name, res.InitSize)

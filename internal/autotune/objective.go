@@ -1,11 +1,9 @@
 package autotune
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"optinline/internal/callgraph"
+	"optinline/internal/flight"
+	"optinline/internal/par"
 )
 
 // Objective maps an inlining configuration to a cost to minimize. The
@@ -17,118 +15,52 @@ type Objective func(cfg *callgraph.Config) int64
 
 // TuneObjective runs the local autotuner against an arbitrary objective.
 // Results are memoized per canonical configuration, and each round's
-// toggles evaluate in parallel, exactly like the size tuner.
+// toggles evaluate in parallel, exactly like the size tuner. Evaluations
+// counts objective calls.
 func TuneObjective(g *callgraph.Graph, obj Objective, init *callgraph.Config, opts Options) Result {
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sites := g.Sites()
-
-	var mu sync.Mutex
-	memo := make(map[string]int64)
-	var evals atomic.Int64
-	eval := func(cfg *callgraph.Config) int64 {
-		key := cfg.Key()
-		mu.Lock()
-		if v, ok := memo[key]; ok {
-			mu.Unlock()
-			return v
-		}
-		mu.Unlock()
-		evals.Add(1)
-		v := obj(cfg)
-		mu.Lock()
-		memo[key] = v
-		mu.Unlock()
-		return v
-	}
-	evalMany := func(cfgs []*callgraph.Config) []int64 {
-		out := make([]int64, len(cfgs))
-		w := workers
-		if w > len(cfgs) {
-			w = len(cfgs)
-		}
-		if w <= 1 {
-			for i, cfg := range cfgs {
-				out[i] = eval(cfg)
-			}
-			return out
-		}
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cfgs) {
-						return
-					}
-					out[i] = eval(cfgs[i])
-				}
-			}()
-		}
-		wg.Wait()
-		return out
-	}
-
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	baseCost := eval(base)
-	res := Result{
-		Config:   base.Clone(),
-		Size:     int(baseCost),
-		InitSize: int(baseCost),
-	}
-	for round := 1; round <= rounds; round++ {
-		cfgs := make([]*callgraph.Config, len(sites))
-		for i, s := range sites {
-			cfgs[i] = base.Clone().Set(s, !base.Inline(s))
-		}
-		costs := evalMany(cfgs)
-		next := base.Clone()
-		toggles := 0
-		for i, s := range sites {
-			toInline := !base.Inline(s)
-			keep := false
-			if toInline {
-				keep = costs[i] <= baseCost
-			} else {
-				keep = costs[i] < baseCost
-			}
-			if keep {
-				next.Set(s, toInline)
-				toggles++
-			}
-		}
-		nextCost := eval(next)
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Round:      round,
-			Size:       int(nextCost),
-			Inlined:    next.InlineCount(),
-			NotInlined: len(sites) - next.InlineCount(),
-			Toggles:    toggles,
-		})
-		if int(nextCost) < res.Size {
-			res.Config, res.Size = next.Clone(), int(nextCost)
-		}
-		res.Final, res.FinalSize = next, int(nextCost)
-		if toggles == 0 {
-			break
-		}
-		base, baseCost = next, nextCost
-	}
-	if res.Final == nil {
-		res.Final, res.FinalSize = res.Config, res.Size
-	}
-	res.Evaluations = evals.Load()
-	return res
+	p := &objectivePricer{obj: obj}
+	p.cur = p.point(startConfig(init))
+	return newTuner[int64](p, g, nil, ExtOptions{Options: opts}).run()
 }
+
+// objectivePricer prices configurations with a memoized objective; a
+// configuration's size is reported as its cost.
+type objectivePricer struct {
+	obj  Objective
+	memo flight.Group[string, int64]
+	cur  Point[int64]
+}
+
+func (p *objectivePricer) eval(cfg *callgraph.Config) int64 {
+	v, _, _ := p.memo.Do(cfg.Key(), func() (int64, error) { return p.obj(cfg), nil })
+	return v
+}
+
+func (p *objectivePricer) point(cfg *callgraph.Config) Point[int64] {
+	cost := p.eval(cfg)
+	return Point[int64]{Config: cfg, Cost: cost, Size: int(cost)}
+}
+
+// toggled returns the base configuration with every site of set flipped.
+func (p *objectivePricer) toggled(set []int) *callgraph.Config {
+	cfg := p.cur.Config.Clone()
+	for _, s := range set {
+		cfg.Set(s, !p.cur.Config.Inline(s))
+	}
+	return cfg
+}
+
+func (p *objectivePricer) base() Point[int64] { return p.cur }
+
+func (p *objectivePricer) probe(sets [][]int, workers int) []int64 {
+	costs := make([]int64, len(sets))
+	par.For(len(sets), workers, func(i int) { costs[i] = p.eval(p.toggled(sets[i])) })
+	return costs
+}
+
+func (p *objectivePricer) rebase(toggles []int) Point[int64] {
+	p.cur = p.point(p.toggled(toggles))
+	return p.cur
+}
+
+func (p *objectivePricer) evaluations() int64 { return p.memo.Stats().Misses }

@@ -5,20 +5,15 @@ import (
 	"optinline/internal/compile"
 )
 
-// Session is a tuning session stepped one round at a time by the caller.
-// It runs exactly the rounds Tune runs — same probes, same tie rules, same
-// delta-engine rebasing — but leaves the loop policy (how many rounds,
-// when to stop, what "best" means) outside. The cross-module sharded tuner
-// (internal/link) is built on it: one Session per call-graph component,
-// all stepped in lockstep global rounds, so the merged per-round traces
-// reproduce a whole-module Tune exactly.
+// Session is a size tuning session stepped one round at a time by the
+// caller. It runs exactly the rounds Tune runs — same probes, same tie
+// rule, same delta-engine rebasing — but leaves the loop (how many rounds,
+// when to stop, what "best" means) to the caller. The linked lockstep
+// tuner (internal/link) is built on it: one Session per call-graph
+// component, all stepped in global rounds by Drive, so the summed
+// per-round traces reproduce a whole-module Tune exactly.
 type Session struct {
-	c       *compile.Compiler
-	sites   []int
-	workers int
-
-	sized *compile.Sized
-	size  int
+	t     *tuner[int]
 	round int
 	done  bool // a round kept no toggles; further rounds are no-ops
 }
@@ -26,18 +21,8 @@ type Session struct {
 // NewSession prices init (nil means clean slate) and returns a session
 // positioned before round 1.
 func NewSession(c *compile.Compiler, init *callgraph.Config, workers int) *Session {
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	sized := c.Sized(base)
-	return &Session{
-		c:       c,
-		sites:   c.Graph().Sites(),
-		workers: workers,
-		sized:   sized,
-		size:    sized.Size(),
-	}
+	opts := ExtOptions{Options: Options{Workers: workers}}
+	return &Session{t: newTuner[int](newSizePricer(c, init), c.Graph(), c.Module(), opts)}
 }
 
 // Step runs one tuning round and returns its trace. Once a round keeps no
@@ -47,30 +32,12 @@ func NewSession(c *compile.Compiler, init *callgraph.Config, workers int) *Sessi
 // lockstep loop may keep calling it or skip the session, identically.
 func (s *Session) Step() RoundTrace {
 	s.round++
+	toggles := 0
 	if !s.done {
-		kept := tuneRound(s.c, s.sized, s.size, s.sites, s.workers)
-		s.sized = s.c.Rebase(s.sized, kept)
-		s.size = s.sized.Size()
-		if len(kept) == 0 {
-			s.done = true
-		}
-		cfg := s.sized.Config()
-		return RoundTrace{
-			Round:      s.round,
-			Size:       s.size,
-			Inlined:    cfg.InlineCount(),
-			NotInlined: len(s.sites) - cfg.InlineCount(),
-			Toggles:    len(kept),
-		}
+		_, toggles = s.t.round()
+		s.done = toggles == 0
 	}
-	cfg := s.sized.Config()
-	return RoundTrace{
-		Round:      s.round,
-		Size:       s.size,
-		Inlined:    cfg.InlineCount(),
-		NotInlined: len(s.sites) - cfg.InlineCount(),
-		Toggles:    0,
-	}
+	return trace(s.round, len(s.t.g.Edges), s.t.p.base(), toggles)
 }
 
 // Converged reports whether a past round kept no toggles.
@@ -78,7 +45,7 @@ func (s *Session) Converged() bool { return s.done }
 
 // Config returns the current round's configuration (shared; clone before
 // mutating).
-func (s *Session) Config() *callgraph.Config { return s.sized.Config() }
+func (s *Session) Config() *callgraph.Config { return s.t.p.base().Config }
 
 // Size returns the current round's size.
-func (s *Session) Size() int { return s.size }
+func (s *Session) Size() int { return s.t.p.base().Size }

@@ -16,14 +16,9 @@ import (
 // a weighted round costs the same shape of work as a size round: n dirty-
 // closure recompiles plus n event replays, never a re-interpretation.
 
-// costFn blends a configuration's two prices into the scalar a session
-// minimizes.
-type costFn func(size int, cycles int64) float64
-
 // TuneWeighted tunes the blended objective size + lambda·cycles from init
 // (nil means clean slate). lambda = 0 degenerates to the size objective;
-// growing lambda buys speed with bytes. Ties keep toggles to inline and
-// reject toggles away, exactly like the size tuner.
+// growing lambda buys speed with bytes.
 func TuneWeighted(c *compile.Compiler, pricer *compile.CyclePricer, lambda float64, init *callgraph.Config, opts Options) Result {
 	return tuneBi(c, pricer, func(size int, cycles int64) float64 {
 		return float64(size) + lambda*float64(cycles)
@@ -38,80 +33,43 @@ func TuneCycles(c *compile.Compiler, pricer *compile.CyclePricer, init *callgrap
 	}, init, opts)
 }
 
-// tuneBi is the round loop shared by the weighted and cycles-only sessions.
-func tuneBi(c *compile.Compiler, pricer *compile.CyclePricer, weight costFn, init *callgraph.Config, opts Options) Result {
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	sites := c.Graph().Sites()
-
-	base := callgraph.NewConfig()
-	if init != nil {
-		base = init.Clone()
-	}
-	sized := c.Sized(base)
-	cycled := pricer.Priced(base)
-	baseCost := weight(sized.Size(), cycled.Cycles())
-
-	res := Result{
-		Config:     base.Clone(),
-		Size:       sized.Size(),
-		Cycles:     cycled.Cycles(),
-		InitSize:   sized.Size(),
-		InitCycles: cycled.Cycles(),
-	}
-	bestCost := baseCost
-	for round := 1; round <= rounds; round++ {
-		toggles := make([][]int, len(sites))
-		for i, s := range sites {
-			toggles[i] = []int{s}
-		}
-		sizes := c.SizeDeltaParallel(sized, toggles, opts.Workers)
-		cycles := pricer.CyclesDeltaParallel(cycled, toggles, opts.Workers)
-
-		var kept []int
-		for i, s := range sites {
-			cost := weight(sizes[i], cycles[i])
-			toInline := !sized.Inline(s)
-			keep := false
-			if toInline {
-				keep = cost <= baseCost
-			} else {
-				keep = cost < baseCost
-			}
-			if keep {
-				kept = append(kept, s)
-			}
-		}
-		nextSized := c.Rebase(sized, kept)
-		nextCycled := pricer.Rebase(cycled, kept)
-		next := nextSized.Config()
-		nextCost := weight(nextSized.Size(), nextCycled.Cycles())
-		res.Rounds = append(res.Rounds, RoundTrace{
-			Round:      round,
-			Size:       nextSized.Size(),
-			Cycles:     nextCycled.Cycles(),
-			Inlined:    next.InlineCount(),
-			NotInlined: len(sites) - next.InlineCount(),
-			Toggles:    len(kept),
-		})
-		if nextCost < bestCost {
-			res.Config, res.Size, res.Cycles = next.Clone(), nextSized.Size(), nextCycled.Cycles()
-			bestCost = nextCost
-		}
-		res.Final, res.FinalSize, res.FinalCycles = next, nextSized.Size(), nextCycled.Cycles()
-		if len(kept) == 0 {
-			break // fixpoint
-		}
-		sized, cycled, baseCost = nextSized, nextCycled, nextCost
-	}
-	if res.Final == nil {
-		res.Final, res.FinalSize, res.FinalCycles = res.Config, res.Size, res.Cycles
-	}
-	res.Evaluations = c.Evaluations()
-	return res
+func tuneBi(c *compile.Compiler, pricer *compile.CyclePricer, weight func(size int, cycles int64) float64, init *callgraph.Config, opts Options) Result {
+	start := startConfig(init)
+	p := &cyclePricer{sizes: sizePricer{c: c, h: c.Sized(start)}, pr: pricer, h: pricer.Priced(start), weight: weight}
+	return newTuner[float64](p, c.Graph(), c.Module(), ExtOptions{Options: opts}).run()
 }
+
+// cyclePricer prices each configuration in bytes and in cycles and
+// minimizes weight of the two.
+type cyclePricer struct {
+	sizes  sizePricer
+	pr     *compile.CyclePricer
+	h      *compile.Cycled
+	weight func(size int, cycles int64) float64
+}
+
+func (p *cyclePricer) base() Point[float64] {
+	size, cycles := p.sizes.h.Size(), p.h.Cycles()
+	return Point[float64]{Config: p.sizes.h.Config(), Cost: p.weight(size, cycles), Size: size, Cycles: cycles}
+}
+
+func (p *cyclePricer) probe(sets [][]int, workers int) []float64 {
+	sizes := p.sizes.probe(sets, workers)
+	cycles := p.pr.CyclesDeltaParallel(p.h, sets, workers)
+	costs := make([]float64, len(sets))
+	for i := range sets {
+		costs[i] = p.weight(sizes[i], cycles[i])
+	}
+	return costs
+}
+
+func (p *cyclePricer) rebase(toggles []int) Point[float64] {
+	p.sizes.rebase(toggles)
+	p.h = p.pr.Rebase(p.h, toggles)
+	return p.base()
+}
+
+func (p *cyclePricer) evaluations() int64 { return p.sizes.evaluations() }
 
 // ParetoPoint is one point of a size/speed frontier.
 type ParetoPoint struct {

@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -317,41 +316,6 @@ func (c *Compiler) measure(cfg *callgraph.Config) int {
 		return InfSize
 	}
 	return codegen.ModuleSize(m, c.target)
-}
-
-// SizeParallel evaluates many configurations concurrently and returns their
-// sizes in order. workers <= 0 selects GOMAXPROCS.
-func (c *Compiler) SizeParallel(cfgs []*callgraph.Config, workers int) []int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	out := make([]int, len(cfgs))
-	if workers <= 1 {
-		for i, cfg := range cfgs {
-			out[i] = c.Size(cfg)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cfgs) {
-					return
-				}
-				out[i] = c.Size(cfgs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // Evaluations returns the number of distinct configurations evaluated so

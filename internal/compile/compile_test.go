@@ -159,32 +159,6 @@ func TestBuildPreservesSemantics(t *testing.T) {
 	}
 }
 
-func TestSizeParallelMatchesSequential(t *testing.T) {
-	c := newCompiler(t)
-	sites := c.Graph().Sites()
-	var cfgs []*callgraph.Config
-	for mask := 0; mask < 16; mask++ {
-		cfg := callgraph.NewConfig()
-		for i, s := range sites {
-			if mask&(1<<i) != 0 {
-				cfg.Set(s, true)
-			}
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	seq := newCompiler(t)
-	want := make([]int, len(cfgs))
-	for i, cfg := range cfgs {
-		want[i] = seq.Size(cfg)
-	}
-	got := c.SizeParallel(cfgs, 8)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cfg %d: parallel %d != sequential %d", i, got[i], want[i])
-		}
-	}
-}
-
 func TestConcurrentSizeIsSafe(t *testing.T) {
 	c := newCompiler(t)
 	var wg sync.WaitGroup

@@ -3,7 +3,6 @@ package compile
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -15,6 +14,7 @@ import (
 	"optinline/internal/interp"
 	"optinline/internal/ir"
 	"optinline/internal/opt"
+	"optinline/internal/par"
 )
 
 // This file implements the incremental cycle-evaluation engine: the
@@ -454,35 +454,8 @@ func (p *CyclePricer) CyclesDelta(base *Cycled, toggles []int) int64 {
 // CyclesDeltaParallel prices many toggle sets against the same base
 // concurrently, in order. workers <= 0 selects GOMAXPROCS.
 func (p *CyclePricer) CyclesDeltaParallel(base *Cycled, toggles [][]int, workers int) []int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(toggles) {
-		workers = len(toggles)
-	}
 	out := make([]int64, len(toggles))
-	if workers <= 1 {
-		for i, t := range toggles {
-			out[i] = p.CyclesDelta(base, t)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(toggles) {
-					return
-				}
-				out[i] = p.CyclesDelta(base, toggles[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(toggles), workers, func(i int) { out[i] = p.CyclesDelta(base, toggles[i]) })
 	return out
 }
 

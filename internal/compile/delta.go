@@ -1,11 +1,8 @@
 package compile
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"optinline/internal/callgraph"
+	"optinline/internal/par"
 )
 
 // This file implements incremental delta evaluation on top of the memo
@@ -115,35 +112,8 @@ func (c *Compiler) SizeDelta(base *Sized, toggles []int) int {
 // SizeDeltaParallel prices many toggle sets against the same base
 // concurrently, in order. workers <= 0 selects GOMAXPROCS.
 func (c *Compiler) SizeDeltaParallel(base *Sized, toggles [][]int, workers int) []int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(toggles) {
-		workers = len(toggles)
-	}
 	out := make([]int, len(toggles))
-	if workers <= 1 {
-		for i, t := range toggles {
-			out[i] = c.SizeDelta(base, t)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(toggles) {
-					return
-				}
-				out[i] = c.SizeDelta(base, toggles[i])
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(toggles), workers, func(i int) { out[i] = c.SizeDelta(base, toggles[i]) })
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
+	"optinline/internal/par"
 	"optinline/internal/stats"
 	"optinline/internal/workload"
 )
@@ -33,7 +34,7 @@ func (h *Harness) LLVMCase() Result {
 		heur, tune int
 	}
 	rows := make([]row, len(files))
-	parallelFor(len(files), 1, func(i int) { // files run serially; edges within a file run in parallel
+	par.For(len(files), 1, func(i int) { // files run serially; edges within a file run in parallel
 		f := files[i]
 		comp := compile.New(f.Module, codegen.TargetX86)
 		g := comp.Graph()

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"optinline/internal/compile"
 )
 
 // smallHarness builds a scaled-down corpus shared by the tests in this file.
@@ -183,5 +186,39 @@ func TestExperimentsDeterministic(t *testing.T) {
 		if r1.Text != r2.Text {
 			t.Fatalf("%s differs across harnesses:\n--- a ---\n%s\n--- b ---\n%s", id, r1.Text, r2.Text)
 		}
+	}
+}
+
+// TestLinkedCaseConfiguresEveryCompiler: inlinebench's engine switches
+// reach the linked experiments through Config.Configure, so the hook must
+// run on every compiler linked-case builds — the per-TU compilers and the
+// per-component and residual shard compilers of both linked profiles.
+func TestLinkedCaseConfiguresEveryCompiler(t *testing.T) {
+	if raceEnabled {
+		t.Skip("full-size linked-case under the race detector")
+	}
+	var n atomic.Int64
+	h := NewHarness(Config{Scale: 0.01, Rounds: 2, Configure: func(*compile.Compiler) { n.Add(1) }})
+	want := int64(0)
+	for _, name := range []string{"linked-s", "linked-m"} {
+		_, l, err := h.linkedLinker(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += int64(len(l.TUs()) + len(l.Plan().Components))
+		resid, err := l.Residual()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(resid.Funcs) > 0 {
+			want++
+		}
+	}
+	before := n.Load()
+	if r := h.LinkedCase(); strings.Contains(r.Text, "error") {
+		t.Fatal(r.Text)
+	}
+	if got := n.Load() - before; got != want {
+		t.Fatalf("Configure ran on %d linked-case compilers, want %d", got, want)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
 	"optinline/internal/interp"
+	"optinline/internal/ir"
+	"optinline/internal/par"
 	"optinline/internal/search"
 	"optinline/internal/stats"
 	"optinline/internal/workload"
@@ -237,13 +239,9 @@ func NewHarness(cfg Config) *Harness {
 		}
 	}
 	results := make([]*fileData, len(jobs))
-	parallelFor(len(jobs), cfg.Workers, func(i int) {
+	par.For(len(jobs), cfg.Workers, func(i int) {
 		f := jobs[i].file
-		comp := compile.NewWithOptions(f.Module, codegen.TargetX86,
-			compile.Options{Check: cfg.Checked, FnCache: h.fncache})
-		if cfg.Configure != nil {
-			cfg.Configure(comp)
-		}
+		comp := h.compiler(f.Module)
 		g := comp.Graph()
 		if len(g.Edges) == 0 {
 			return // trivial w.r.t. inlining, as in the paper's 746 files
@@ -356,7 +354,7 @@ func (h *Harness) CheckFailures() []string {
 func (h *Harness) exhaustiveSet() []*fileData {
 	var out []*fileData
 	var mu sync.Mutex
-	parallelFor(len(h.files), h.cfg.Workers, func(i int) {
+	par.For(len(h.files), h.cfg.Workers, func(i int) {
 		fd := h.files[i]
 		if _, ok := fd.optimal(h.cfg); ok {
 			mu.Lock()
@@ -370,9 +368,19 @@ func (h *Harness) exhaustiveSet() []*fileData {
 
 // ensureTuned tunes every file (cached), in parallel across files.
 func (h *Harness) ensureTuned() {
-	parallelFor(len(h.files), h.cfg.Workers, func(i int) {
+	par.For(len(h.files), h.cfg.Workers, func(i int) {
 		h.files[i].tuned(h.cfg)
 	})
+}
+
+// compiler builds a corpus compiler honouring every engine switch of the
+// run: checked mode, the shared function cache and the Configure hook.
+func (h *Harness) compiler(m *ir.Module) *compile.Compiler {
+	c := compile.NewWithOptions(m, codegen.TargetX86, compile.Options{Check: h.cfg.Checked, FnCache: h.fncache})
+	if h.cfg.Configure != nil {
+		h.cfg.Configure(c)
+	}
+	return c
 }
 
 func scaleInt(n int, scale float64) int {
@@ -381,34 +389,6 @@ func scaleInt(n int, scale float64) int {
 		v = 1
 	}
 	return v
-}
-
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
 }
 
 func pct(num, den float64) string {

@@ -25,14 +25,16 @@ func (h *Harness) linkedLinker(name string) (workload.LinkedProfile, *link.Linke
 	return lp, l, err
 }
 
-// linkedShardOpts is the shared shard configuration: harness cache, harness
+// linkedShardOpts is the shared shard configuration: the options of
+// h.compiler (checked mode, harness cache, Configure hook), harness
 // workers, and the -no-shard differential toggle.
 func (h *Harness) linkedShardOpts() link.ShardOptions {
 	return link.ShardOptions{
-		Target:  codegen.TargetX86,
-		Compile: compile.Options{FnCache: h.fncache},
-		Workers: h.cfg.Workers,
-		NoShard: h.cfg.DisableShard,
+		Target:    codegen.TargetX86,
+		Compile:   compile.Options{Check: h.cfg.Checked, FnCache: h.fncache},
+		Configure: h.cfg.Configure,
+		Workers:   h.cfg.Workers,
+		NoShard:   h.cfg.DisableShard,
 	}
 }
 
@@ -60,16 +62,16 @@ func (h *Harness) LinkedCase() Result {
 			if err != nil {
 				return Result{ID: "linked-case", Title: "Cross-module linking", Text: "error: " + err.Error()}
 			}
-			comp := compile.NewWithOptions(mod, codegen.TargetX86, compile.Options{FnCache: h.fncache})
+			comp := h.compiler(mod)
 			sepNoInline += comp.Size(callgraph.NewConfig())
-			res, ok := search.Optimal(comp, search.Options{Workers: h.cfg.Workers, MaxSpace: 1 << 20})
+			res, ok := search.Optimal(comp, search.Options{Workers: h.cfg.Workers, MaxSpace: 1 << 20, NoPrune: h.cfg.DisablePrune})
 			if !ok {
 				return Result{ID: "linked-case", Title: "Cross-module linking", Text: "error: per-TU space over cap"}
 			}
 			sepOpt += res.Size
 			sepSites += len(comp.Graph().Edges)
 		}
-		res, ok, err := l.OptimalSearch(link.SearchOptions{ShardOptions: h.linkedShardOpts(), MaxSpace: 1 << 20})
+		res, ok, err := l.OptimalSearch(link.SearchOptions{ShardOptions: h.linkedShardOpts(), MaxSpace: 1 << 20, NoPrune: h.cfg.DisablePrune})
 		if err != nil || !ok {
 			return Result{ID: "linked-case", Title: "Cross-module linking", Text: fmt.Sprintf("error: linked search ok=%v err=%v", ok, err)}
 		}
@@ -105,7 +107,7 @@ func (h *Harness) LinkedCase() Result {
 			if err != nil {
 				return Result{ID: "linked-case", Title: "Cross-module linking", Text: "error: " + err.Error()}
 			}
-			comp := compile.NewWithOptions(mod, codegen.TargetX86, compile.Options{FnCache: h.fncache})
+			comp := h.compiler(mod)
 			hc := heuristic.OsConfig(comp.Module(), comp.Graph())
 			res := autotune.Tune(comp, hc, autotune.Options{Rounds: h.cfg.Rounds, Workers: h.cfg.Workers})
 			sepTuned += res.Size

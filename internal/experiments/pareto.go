@@ -6,6 +6,7 @@ import (
 
 	"optinline/internal/autotune"
 	"optinline/internal/interp"
+	"optinline/internal/par"
 	"optinline/internal/stats"
 	"optinline/internal/workload"
 )
@@ -46,7 +47,7 @@ func (h *Harness) Pareto() Result {
 		files = append(files, h.byName[bench]...)
 	}
 	outs := make([]fileOut, len(files))
-	parallelFor(len(files), h.cfg.Workers, func(i int) {
+	par.For(len(files), h.cfg.Workers, func(i int) {
 		fd := files[i]
 		outs[i].bench = fd.bench
 		pr := fd.cyclePricer(h.cfg, 0)

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"sort"
+
+	"optinline/internal/par"
 )
 
 // IDs returns all experiment identifiers in presentation order.
@@ -92,7 +94,7 @@ func (h *Harness) RunAll() []Result {
 	h.ensureTuned()
 	ids := IDs()
 	out := make([]Result, len(ids))
-	parallelFor(len(ids), h.cfg.Workers, func(i int) {
+	par.For(len(ids), h.cfg.Workers, func(i int) {
 		r, err := h.Run(ids[i])
 		if err != nil {
 			r = Result{ID: ids[i], Title: ids[i], Text: "error: " + err.Error()}

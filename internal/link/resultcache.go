@@ -38,8 +38,13 @@ func (cc *ComponentCache) Stats() ComponentCacheStats {
 }
 
 // get returns the value cached under key, computing it on the first
-// request; a failed compute is returned to this caller and not cached.
+// request; a failed compute is returned to this caller and not cached. A
+// nil cache computes every request.
 func (cc *ComponentCache) get(key ResultKey, compute func() (any, error)) (v any, hit bool, err error) {
+	if cc == nil {
+		v, err = compute()
+		return v, false, err
+	}
 	return cc.g.Do(key, compute)
 }
 
@@ -71,7 +76,6 @@ type tuneOutcome struct {
 
 type tuneRound struct {
 	size    int
-	inlined int
 	toggles int
 	bits    []uint64
 }

@@ -2,12 +2,12 @@ package link
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
+	"optinline/internal/ir"
+	"optinline/internal/par"
 	"optinline/internal/search"
 	"optinline/internal/stats"
 )
@@ -40,11 +40,22 @@ type ShardOptions struct {
 	NoShard bool
 }
 
+// workers is the per-component pool size for par.Each, where 0 already
+// selects GOMAXPROCS.
 func (o ShardOptions) workers() int {
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
+	if o.Workers < 0 {
+		return 1
 	}
 	return o.Workers
+}
+
+// compiler builds a compiler for one of the run's modules.
+func (o ShardOptions) compiler(mod *ir.Module) *compile.Compiler {
+	c := compile.NewWithOptions(mod, o.Target, o.Compile)
+	if o.Configure != nil {
+		o.Configure(c)
+	}
+	return c
 }
 
 // ComponentStat describes one call-graph component of the link plan and,
@@ -164,10 +175,7 @@ func (l *Linker) solveComponent(ci int, opts SearchOptions) (compOut, error) {
 	if err != nil {
 		return compOut{}, err
 	}
-	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
+	c := opts.compiler(mod)
 	emptySize := c.Size(callgraph.NewConfig())
 	sres, ok := search.Optimal(c, search.Options{
 		Workers:  opts.Workers,
@@ -202,7 +210,7 @@ func (l *Linker) searchSharded(opts SearchOptions, res *SearchResult) error {
 		outs[ci] = o
 		return nil
 	}
-	if err := eachComponent(len(p.Components), opts.workers(), run); err != nil {
+	if err := par.Each(len(p.Components), opts.workers(), run); err != nil {
 		return err
 	}
 
@@ -246,10 +254,7 @@ func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {
 	if err != nil {
 		return err
 	}
-	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
+	c := opts.compiler(mod)
 	subs := search.ComponentSubgraphs(c.Graph())
 	if len(subs) != len(l.plan.Components) {
 		return fmt.Errorf("link: merged module has %d components, plan has %d", len(subs), len(l.plan.Components))
@@ -289,60 +294,8 @@ func (l *Linker) residualSize(opts ShardOptions) (size int, evals int64, err err
 	if len(mod.Funcs) == 0 {
 		return 0, 0, nil
 	}
-	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
+	c := opts.compiler(mod)
 	return c.Size(callgraph.NewConfig()), c.Evaluations(), nil
-}
-
-// eachComponent runs fn(ci) for every component index on up to workers
-// goroutines (sequentially when workers <= 1), failing fast on the first
-// error. Output slots are per-index, so scheduling cannot reorder results.
-func eachComponent(n, workers int, fn func(ci int) error) error {
-	if workers <= 1 || n <= 1 {
-		for ci := 0; ci < n; ci++ {
-			if err := fn(ci); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		ferr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if ferr != nil || next >= n {
-					mu.Unlock()
-					return
-				}
-				ci := next
-				next++
-				mu.Unlock()
-				if err := fn(ci); err != nil {
-					mu.Lock()
-					if ferr == nil {
-						ferr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return ferr
 }
 
 func satAdd(a, b uint64) uint64 {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"sync"
 
-	"optinline/internal/autotune"
 	"optinline/internal/callgraph"
 	"optinline/internal/compile"
+	"optinline/internal/par"
 )
 
 // Session is the incremental re-link engine: it holds a resolved multi-TU
@@ -266,10 +266,7 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 	if capped := planSpaces(p, opts.MaxSpace, &res); capped {
 		return res, info, false, nil
 	}
-	// Checked-mode compiles exist to re-verify the pipeline; replaying
-	// around them would defeat the point, so Check bypasses the cache
-	// (exactly as FnCache does).
-	useCache := !s.noCache && !opts.Compile.Check
+	results := s.cache(opts.Compile)
 	outcomes := make([]*searchOutcome, len(p.Components))
 	live := make([]*compOut, len(p.Components))
 	run := func(ci int) error {
@@ -285,33 +282,25 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 				bits:      configBits(p.ComponentEdges(ci), o.cfg),
 			}, nil
 		}
-		if !useCache {
-			v, err := solve()
-			if err != nil {
-				return err
-			}
-			outcomes[ci] = v.(*searchOutcome)
-			return nil
-		}
-		key := searchKey(componentKey(p, l.sums, ci, opts.Target))
-		v, _, err := s.results.get(key, solve)
+		v, _, err := results.get(searchKey(componentKey(p, l.sums, ci, opts.Target)), solve)
 		if err != nil {
 			return err
 		}
 		outcomes[ci] = v.(*searchOutcome)
 		return nil
 	}
-	if err := eachComponent(len(p.Components), opts.workers(), run); err != nil {
+	if err := par.Each(len(p.Components), opts.workers(), run); err != nil {
 		return res, info, false, err
 	}
 
-	residSize, err := s.residualTotal(opts.ShardOptions, useCache, &info, &res.Evaluations)
+	residSize, residEvals, err := s.residualTotal(opts.ShardOptions, results, &info)
 	if err != nil {
 		return res, info, false, err
 	}
 	cfg := callgraph.NewConfig()
 	res.NoInlineSize = residSize
 	res.Size = residSize
+	res.Evaluations = residEvals
 	for ci, o := range outcomes {
 		ccfg := bitsConfig(p.ComponentEdges(ci), o.bits)
 		cfg.Merge(ccfg)
@@ -333,15 +322,26 @@ func (s *Session) Search(opts SearchOptions) (SearchResult, RelinkInfo, bool, er
 	return res, info, true, nil
 }
 
+// cache returns the session's result cache, or nil when results are not
+// reused. Checked-mode compiles exist to re-verify the pipeline; replaying
+// around them would defeat the point, so Check bypasses the cache (exactly
+// as FnCache does).
+func (s *Session) cache(opts compile.Options) *ComponentCache {
+	if s.noCache || opts.Check {
+		return nil
+	}
+	return s.results
+}
+
 // residualTotal sums the clean-slate size of every unit's residual
-// (edge-free) functions, one cache entry per unit. Residual functions
-// compile in isolation — no incident candidate edges means no inlining in
-// and every outgoing call unbound in their sub-module — so the per-unit sum
-// equals the cold path's single whole-residual compile.
-func (s *Session) residualTotal(opts ShardOptions, useCache bool, info *RelinkInfo, evals *int64) (int, error) {
+// (edge-free) functions, one cache entry per unit, and the evaluations of
+// the units it compiled. Residual functions compile in isolation — no
+// incident candidate edges means no inlining in and every outgoing call
+// unbound in their sub-module — so the per-unit sum equals the cold path's
+// single whole-residual compile.
+func (s *Session) residualTotal(opts ShardOptions, results *ComponentCache, info *RelinkInfo) (total int, evals int64, err error) {
 	l := s.l
 	p := l.plan
-	total := 0
 	for t := range l.tus {
 		resid := 0
 		for fi := range p.Funcs {
@@ -359,26 +359,14 @@ func (s *Session) residualTotal(opts ShardOptions, useCache bool, info *RelinkIn
 			if err != nil {
 				return nil, err
 			}
-			c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-			if opts.Configure != nil {
-				opts.Configure(c)
-			}
+			c := opts.compiler(mod)
 			sz := c.Size(callgraph.NewConfig())
-			*evals += c.Evaluations()
+			evals += c.Evaluations()
 			return sz, nil
 		}
-		if !useCache {
-			v, err := compute()
-			if err != nil {
-				return 0, err
-			}
-			info.ResidualSolved++
-			total += v.(int)
-			continue
-		}
-		v, hit, err := s.results.get(residKey(p, l.sums, t, opts.Target), compute)
+		v, hit, err := results.get(residKey(p, l.sums, t, opts.Target), compute)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if hit {
 			info.ResidualReplayed++
@@ -387,7 +375,7 @@ func (s *Session) residualTotal(opts ShardOptions, useCache bool, info *RelinkIn
 		}
 		total += v.(int)
 	}
-	return total, nil
+	return total, evals, nil
 }
 
 // Tune answers a lockstep sharded tuning query over the current unit set,
@@ -406,181 +394,13 @@ func (s *Session) Tune(opts TuneOptions) (TuneResult, RelinkInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.Tunes++
-	l := s.l
-	p := l.plan
-	res := TuneResult{Components: make([]ComponentStat, len(p.Components))}
-	for ci := range p.Components {
-		res.Components[ci] = ComponentStat{
-			Index: ci,
-			Funcs: len(p.Components[ci]),
-			Edges: len(p.ComponentEdges(ci)),
-		}
-	}
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
-	}
-	useCache := !s.noCache && !opts.Compile.Check
-
-	type tuneShard struct {
-		edges   []PlannedEdge
-		key     ResultKey
-		cached  *tuneOutcome
-		claimed bool // this run owns key and must settle it
-		record  tuneOutcome
-		c       *compile.Compiler
-		sess    *autotune.Session
-		bits    []uint64 // current labels over edges
-		size    int      // current component size
-	}
-	shards := make([]tuneShard, len(p.Components))
-	// Claims must not block: fulfillment only happens after the global
-	// loop, so waiting on another in-flight tune here (or on a duplicate
-	// key within this very run) could deadlock. TryClaim returns busy in
-	// those cases and the component simply solves live, unrecorded.
-	for ci := range shards {
-		sh := &shards[ci]
-		sh.edges = p.ComponentEdges(ci)
-		if !useCache {
-			continue
-		}
-		sh.key = tuneKey(componentKey(p, l.sums, ci, opts.Target), opts.Init, rounds)
-		v, hit, claimed := s.results.g.TryClaim(sh.key)
-		if hit {
-			sh.cached = v.(*tuneOutcome)
-		}
-		sh.claimed = claimed
-	}
-	defer func() {
-		for ci := range shards {
-			if shards[ci].claimed {
-				s.results.g.Withdraw(shards[ci].key)
-			}
-		}
-	}()
-
-	build := func(ci int) error {
-		sh := &shards[ci]
-		if sh.cached != nil {
-			sh.bits, sh.size = sh.cached.initBits, sh.cached.initSize
-			return nil
-		}
-		mod, err := l.Component(ci)
-		if err != nil {
-			return err
-		}
-		c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-		if opts.Configure != nil {
-			opts.Configure(c)
-		}
-		sh.c = c
-		sh.sess = autotune.NewSession(c, initConfig(opts.Init, c), opts.Workers)
-		sh.bits = configBits(sh.edges, sh.sess.Config())
-		sh.size = sh.sess.Size()
-		sh.record = tuneOutcome{initSize: sh.size, initBits: sh.bits}
-		return nil
-	}
-	if err := eachComponent(len(shards), opts.workers(), build); err != nil {
-		return res, info, err
-	}
-	residSize, err := s.residualTotal(opts.ShardOptions, useCache, &info, &res.Evaluations)
-	if err != nil {
-		return res, info, err
-	}
-
-	totalSites := len(p.Edges)
-	mergedConfig := func() *callgraph.Config {
-		cfg := callgraph.NewConfig()
-		for ci := range shards {
-			cfg.Merge(bitsConfig(shards[ci].edges, shards[ci].bits))
-		}
-		return cfg
-	}
-	baseSize := residSize
-	for ci := range shards {
-		baseSize += shards[ci].size
-	}
-	out := autotune.Result{
-		Config:   mergedConfig(),
-		Size:     baseSize,
-		InitSize: baseSize,
-	}
-	for round := 1; round <= rounds; round++ {
-		type roundStep struct{ size, inlined, toggles int }
-		steps := make([]roundStep, len(shards))
-		step := func(ci int) error {
-			sh := &shards[ci]
-			if sh.cached != nil {
-				e := sh.cached.round(round)
-				sh.bits, sh.size = e.bits, e.size
-				steps[ci] = roundStep{e.size, e.inlined, e.toggles}
-				return nil
-			}
-			tr := sh.sess.Step()
-			bits := configBits(sh.edges, sh.sess.Config())
-			sh.bits, sh.size = bits, tr.Size
-			sh.record.rounds = append(sh.record.rounds, tuneRound{
-				size: tr.Size, inlined: tr.Inlined, toggles: tr.Toggles, bits: bits,
-			})
-			steps[ci] = roundStep{tr.Size, tr.Inlined, tr.Toggles}
-			return nil
-		}
-		if err := eachComponent(len(shards), opts.workers(), step); err != nil {
-			return res, info, err
-		}
-		size, inlined, toggles := residSize, 0, 0
-		for _, st := range steps {
-			size += st.size
-			inlined += st.inlined
-			toggles += st.toggles
-		}
-		out.Rounds = append(out.Rounds, autotune.RoundTrace{
-			Round:      round,
-			Size:       size,
-			Inlined:    inlined,
-			NotInlined: totalSites - inlined,
-			Toggles:    toggles,
-		})
-		next := mergedConfig()
-		if size < out.Size {
-			out.Config, out.Size = next.Clone(), size
-		}
-		out.Final, out.FinalSize = next, size
-		if toggles == 0 {
-			break
-		}
-	}
-	if out.Final == nil {
-		out.Final, out.FinalSize = out.Config, out.Size
-	}
-	for ci := range shards {
-		sh := &shards[ci]
-		if sh.claimed {
-			rec := sh.record
-			s.results.g.Fulfill(sh.key, &rec)
-			sh.claimed = false
-		}
-		if sh.sess != nil {
-			res.Evaluations += sh.c.Evaluations()
-			res.ConfigCache = res.ConfigCache.Add(sh.c.ConfigCacheStats())
-			res.FuncCache = res.FuncCache.Add(sh.c.FuncCacheStats())
-			info.ComponentsSolved++
-		} else {
-			info.ComponentsReplayed++
-		}
-	}
-	out.Evaluations = res.Evaluations
-	res.Result = out
-	for ci := range res.Components {
-		inl := 0
-		for _, e := range shards[ci].edges {
-			if res.Result.Config.Inline(e.Site) {
-				inl++
-			}
-		}
-		res.Components[ci].Inlined = inl
-	}
-	return res, info, nil
+	results := s.cache(opts.Compile)
+	res, err := s.l.tuneWith(func(res *TuneResult) error {
+		return s.l.tuneLockstep(opts, results, func() (int, int64, error) {
+			return s.residualTotal(opts.ShardOptions, results, &info)
+		}, res, &info)
+	})
+	return res, info, err
 }
 
 // configBits packs cfg's labels over edges (ascending-site order) into a

@@ -5,6 +5,7 @@ import (
 	"optinline/internal/callgraph"
 	"optinline/internal/compile"
 	"optinline/internal/heuristic"
+	"optinline/internal/par"
 	"optinline/internal/stats"
 )
 
@@ -77,6 +78,21 @@ type TuneResult struct {
 // autotune.Tune on the merged compiler; traces, configurations, and sizes
 // are identical either way.
 func (l *Linker) Tune(opts TuneOptions) (TuneResult, error) {
+	return l.tuneWith(func(res *TuneResult) error {
+		switch {
+		case opts.Objective != ObjectiveSize:
+			return l.tuneCyclesMerged(opts, res)
+		case opts.NoShard:
+			return l.tuneMerged(opts, res)
+		}
+		return l.tuneLockstep(opts, nil, func() (int, int64, error) {
+			return l.residualSize(opts.ShardOptions)
+		}, res, &RelinkInfo{})
+	})
+}
+
+// tuneWith fills the per-component statistics around a tuning run.
+func (l *Linker) tuneWith(run func(res *TuneResult) error) (TuneResult, error) {
 	p := l.plan
 	res := TuneResult{Components: make([]ComponentStat, len(p.Components))}
 	for ci := range p.Components {
@@ -86,16 +102,7 @@ func (l *Linker) Tune(opts TuneOptions) (TuneResult, error) {
 			Edges: len(p.ComponentEdges(ci)),
 		}
 	}
-	var err error
-	switch {
-	case opts.Objective != ObjectiveSize:
-		err = l.tuneCyclesMerged(opts, &res)
-	case opts.NoShard:
-		err = l.tuneMerged(opts, &res)
-	default:
-		err = l.tuneSharded(opts, &res)
-	}
-	if err != nil {
+	if err := run(&res); err != nil {
 		return res, err
 	}
 	for ci := range res.Components {
@@ -117,97 +124,136 @@ func initConfig(kind TuneInit, c *compile.Compiler) *callgraph.Config {
 	return callgraph.NewConfig()
 }
 
-// tuneSharded runs one autotune.Session per component in lockstep rounds.
-func (l *Linker) tuneSharded(opts TuneOptions, res *TuneResult) error {
+// tuneShard is one component of a lockstep tuning run: a live
+// autotune.Session, or the replay of a trace cached by an earlier run.
+type tuneShard struct {
+	edges   []PlannedEdge
+	key     ResultKey
+	cached  *tuneOutcome
+	claimed bool // this run owns key and must settle it
+	record  tuneOutcome
+	c       *compile.Compiler
+	sess    *autotune.Session
+	cfg     *callgraph.Config // current labels
+	size    int               // current component size
+}
+
+// step advances the shard to global round r and returns its toggles.
+func (sh *tuneShard) step(r int) int {
+	if sh.cached != nil {
+		e := sh.cached.round(r)
+		sh.cfg, sh.size = bitsConfig(sh.edges, e.bits), e.size
+		return e.toggles
+	}
+	tr := sh.sess.Step()
+	sh.cfg, sh.size = sh.sess.Config(), tr.Size
+	if sh.claimed {
+		sh.record.rounds = append(sh.record.rounds, tuneRound{
+			size: tr.Size, toggles: tr.Toggles, bits: configBits(sh.edges, sh.cfg),
+		})
+	}
+	return tr.Toggles
+}
+
+// tuneLockstep runs one autotune.Session per component, all stepped in
+// global rounds by autotune.Drive, and reports the summed traces as one
+// whole-module session. With a results cache, components whose content key
+// is cached replay their recorded trace and the live ones record theirs;
+// residual prices the edge-free functions. The cold Linker passes no cache
+// and its whole-residual compile, so it stays an independent oracle for
+// a Session's replays and per-unit residual sums.
+func (l *Linker) tuneLockstep(opts TuneOptions, results *ComponentCache, residual func() (int, int64, error), res *TuneResult, info *RelinkInfo) error {
 	p := l.plan
-	rounds := opts.Rounds
-	if rounds <= 0 {
-		rounds = 1
+	rounds := max(opts.Rounds, 1) // as autotune.Drive; keyed below
+	shards := make([]tuneShard, len(p.Components))
+	for ci := range shards {
+		shards[ci].edges = p.ComponentEdges(ci)
 	}
-	type shard struct {
-		c    *compile.Compiler
-		sess *autotune.Session
+	if results != nil {
+		// Claims must not block: fulfilment only happens after the global
+		// loop, so waiting on another in-flight tune here (or on a
+		// duplicate key within this very run) could deadlock. TryClaim
+		// returns busy in those cases and the component simply solves
+		// live, unrecorded.
+		for ci := range shards {
+			sh := &shards[ci]
+			sh.key = tuneKey(componentKey(p, l.sums, ci, opts.Target), opts.Init, rounds)
+			v, hit, claimed := results.g.TryClaim(sh.key)
+			if hit {
+				sh.cached = v.(*tuneOutcome)
+			}
+			sh.claimed = claimed
+		}
+		defer func() {
+			for ci := range shards {
+				if shards[ci].claimed {
+					results.g.Withdraw(shards[ci].key)
+				}
+			}
+		}()
 	}
-	shards := make([]shard, len(p.Components))
+
 	build := func(ci int) error {
+		sh := &shards[ci]
+		if sh.cached != nil {
+			sh.cfg, sh.size = bitsConfig(sh.edges, sh.cached.initBits), sh.cached.initSize
+			return nil
+		}
 		mod, err := l.Component(ci)
 		if err != nil {
 			return err
 		}
-		c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-		if opts.Configure != nil {
-			opts.Configure(c)
+		sh.c = opts.compiler(mod)
+		sh.sess = autotune.NewSession(sh.c, initConfig(opts.Init, sh.c), opts.Workers)
+		sh.cfg, sh.size = sh.sess.Config(), sh.sess.Size()
+		if sh.claimed {
+			sh.record = tuneOutcome{initSize: sh.size, initBits: configBits(sh.edges, sh.cfg)}
 		}
-		shards[ci] = shard{c: c, sess: autotune.NewSession(c, initConfig(opts.Init, c), opts.Workers)}
 		return nil
 	}
-	if err := eachComponent(len(p.Components), opts.workers(), build); err != nil {
+	if err := par.Each(len(shards), opts.workers(), build); err != nil {
 		return err
 	}
-	residSize, residEvals, err := l.residualSize(opts.ShardOptions)
+	residSize, residEvals, err := residual()
 	if err != nil {
 		return err
 	}
 
-	totalSites := len(p.Edges)
-	mergedConfig := func() *callgraph.Config {
-		cfg := callgraph.NewConfig()
-		for _, s := range shards {
-			cfg.Merge(s.sess.Config())
+	merged := func() autotune.Point[int] {
+		pt := autotune.Point[int]{Config: callgraph.NewConfig(), Size: residSize}
+		for ci := range shards {
+			pt.Config.Merge(shards[ci].cfg)
+			pt.Size += shards[ci].size
 		}
-		return cfg
+		pt.Cost = pt.Size
+		return pt
 	}
-	baseSize := residSize
-	for _, s := range shards {
-		baseSize += s.sess.Size()
-	}
-	out := autotune.Result{
-		Config:   mergedConfig(),
-		Size:     baseSize,
-		InitSize: baseSize,
-	}
-	for round := 1; round <= rounds; round++ {
-		// Step every component; converged sessions replay their fixpoint
-		// without compiling (see autotune.Session.Step), so this stays a
-		// faithful — and cheap — image of the whole-module round.
-		size, inlined, toggles := residSize, 0, 0
-		traces := make([]autotune.RoundTrace, len(shards))
-		step := func(ci int) error {
-			traces[ci] = shards[ci].sess.Step()
-			return nil
+	out := autotune.Drive(rounds, len(p.Edges), merged(), func(r int) (autotune.Point[int], int) {
+		toggles := make([]int, len(shards))
+		par.For(len(shards), opts.workers(), func(ci int) { toggles[ci] = shards[ci].step(r) })
+		n := 0
+		for _, t := range toggles {
+			n += t
 		}
-		if err := eachComponent(len(shards), opts.workers(), step); err != nil {
-			return err
-		}
-		for _, tr := range traces {
-			size += tr.Size
-			inlined += tr.Inlined
-			toggles += tr.Toggles
-		}
-		out.Rounds = append(out.Rounds, autotune.RoundTrace{
-			Round:      round,
-			Size:       size,
-			Inlined:    inlined,
-			NotInlined: totalSites - inlined,
-			Toggles:    toggles,
-		})
-		next := mergedConfig()
-		if size < out.Size {
-			out.Config, out.Size = next.Clone(), size
-		}
-		out.Final, out.FinalSize = next, size
-		if toggles == 0 {
-			break
-		}
-	}
-	if out.Final == nil {
-		out.Final, out.FinalSize = out.Config, out.Size
-	}
+		return merged(), n
+	})
+
 	res.Evaluations = residEvals
-	for _, s := range shards {
-		res.Evaluations += s.c.Evaluations()
-		res.ConfigCache = res.ConfigCache.Add(s.c.ConfigCacheStats())
-		res.FuncCache = res.FuncCache.Add(s.c.FuncCacheStats())
+	for ci := range shards {
+		sh := &shards[ci]
+		if sh.claimed {
+			rec := sh.record
+			results.g.Fulfill(sh.key, &rec)
+			sh.claimed = false
+		}
+		if sh.sess != nil {
+			res.Evaluations += sh.c.Evaluations()
+			res.ConfigCache = res.ConfigCache.Add(sh.c.ConfigCacheStats())
+			res.FuncCache = res.FuncCache.Add(sh.c.FuncCacheStats())
+			info.ComponentsSolved++
+		} else {
+			info.ComponentsReplayed++
+		}
 	}
 	out.Evaluations = res.Evaluations
 	res.Result = out
@@ -221,10 +267,7 @@ func (l *Linker) tuneMerged(opts TuneOptions, res *TuneResult) error {
 	if err != nil {
 		return err
 	}
-	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
+	c := opts.compiler(mod)
 	res.Result = autotune.Tune(c, initConfig(opts.Init, c), autotune.Options{
 		Rounds:  opts.Rounds,
 		Workers: opts.Workers,

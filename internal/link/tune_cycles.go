@@ -37,10 +37,7 @@ func (l *Linker) tuneCyclesMerged(opts TuneOptions, res *TuneResult) error {
 	if err != nil {
 		return err
 	}
-	c := compile.NewWithOptions(mod, opts.Target, opts.Compile)
-	if opts.Configure != nil {
-		opts.Configure(c)
-	}
+	c := opts.compiler(mod)
 	entry := opts.Entry
 	if entry == "" {
 		entry = "entry"

@@ -213,16 +213,13 @@ type TuneResult struct {
 
 // Autotune runs the paper's local autotuner (Algorithm 3 and variants).
 func (p *Program) Autotune(opt TuneOptions) TuneResult {
-	opts := autotune.Options{Rounds: opt.Rounds, Workers: opt.Workers}
+	opts := autotune.ExtOptions{
+		Options:      autotune.Options{Rounds: opt.Rounds, Workers: opt.Workers},
+		GroupCallees: opt.GroupCallees,
+		Incremental:  opt.Incremental,
+	}
 	tune := func(init *callgraph.Config) autotune.Result {
-		if opt.GroupCallees || opt.Incremental {
-			return autotune.TuneExtended(p.comp, init, autotune.ExtOptions{
-				Options:      opts,
-				GroupCallees: opt.GroupCallees,
-				Incremental:  opt.Incremental,
-			})
-		}
-		return autotune.Tune(p.comp, init, opts)
+		return autotune.TuneExtended(p.comp, init, opts)
 	}
 	var res autotune.Result
 	switch opt.Init {
