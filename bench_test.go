@@ -303,16 +303,17 @@ func BenchmarkOptimalPrunedVsExhaustive(b *testing.B) {
 		b.Logf("unit: %d-evaluation recursive space", space)
 	}
 	for _, mode := range []struct {
-		name    string
-		noPrune bool
-	}{{"pruned", false}, {"exhaustive", true}} {
+		name  string
+		prune bool
+	}{{"pruned", true}, {"exhaustive", false}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var evals int64
 			var stats search.PruneStats
 			for i := 0; i < b.N; i++ {
 				comp := compile.New(m, codegen.TargetX86)
-				res, ok := search.Optimal(comp, search.Options{NoPrune: mode.noPrune, MaxSpace: 1 << 13})
+				comp.SetPrune(mode.prune)
+				res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 13})
 				if !ok {
 					b.Fatal("aborted")
 				}
@@ -493,13 +494,14 @@ func BenchmarkAutotuneRoundDeltaVsFull(b *testing.B) {
 // the interpreter finishes within fuel) three ways. "delta" builds a cycle
 // pricer over one baseline profile and reprices each toggle incrementally
 // (dirty-closure walk + i-cache replay); "oracle" prices each toggle with
-// the whole-module model evaluation (-no-cycledelta); "reinterp" is the
-// naive alternative the pricer exists to avoid — rebuild the module and
-// re-run the interpreter for every probe. The one-off profile collection
-// runs outside the timed loop in every mode, and delta/oracle agree with
-// each other bit-for-bit; reinterp additionally re-executes loops the
-// model prices statically, so it is the semantic ground truth, not a
-// byte-identical oracle. Recorded in BENCH_search.json.
+// the whole-module model evaluation on a second, delta-off compiler
+// (-no-delta); "reinterp" is the naive alternative the pricer exists to
+// avoid — rebuild the module and re-run the interpreter for every probe.
+// The one-off profile collection runs outside the timed loop in every
+// mode, and delta/oracle agree with each other bit-for-bit; reinterp
+// additionally re-executes loops the model prices statically, so it is the
+// semantic ground truth, not a byte-identical oracle. Recorded in
+// BENCH_search.json.
 func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 	p := workload.Profile{
 		Name: "sqlite", Files: 1, TotalEdges: 600,
@@ -524,18 +526,19 @@ func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 	b.Logf("unit: %d functions, %d candidate edges, %d profiled frame events, %d probes",
 		len(comp.Module().Funcs), len(edges), len(prof.Events), len(sites))
 
-	newPricer := func(delta bool) *compile.CyclePricer {
-		pr, err := comp.NewCyclePricer(prof, compile.CycleOptions{})
+	oracleComp := compile.New(f.Module, codegen.TargetX86)
+	oracleComp.SetDelta(false)
+	newPricer := func(c *compile.Compiler) *compile.CyclePricer {
+		pr, err := c.NewCyclePricer(prof, compile.CycleOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		pr.SetCycleDelta(delta)
 		return pr
 	}
 	b.Run("delta", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPricer(true)
+			pr := newPricer(comp)
 			base := pr.Priced(callgraph.NewConfig())
 			var sum int64
 			for _, s := range sites {
@@ -549,7 +552,7 @@ func BenchmarkCycleRepriceVsReinterp(b *testing.B) {
 	b.Run("oracle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pr := newPricer(false)
+			pr := newPricer(oracleComp)
 			var sum int64
 			for _, s := range sites {
 				cfg := callgraph.NewConfig()

@@ -116,16 +116,16 @@ for f in examples/minc/*.minc; do
 done
 
 echo "== cycle-delta differential smoke =="
-# The incremental cycle pricer and the -no-cycledelta whole-module oracle
-# must render byte-identical stdout for cycle-aware tuning on every
-# example, and the pareto sweep must print a frontier. The same identity
-# must hold for the pareto experiment over a scaled corpus, where the
-# repricer sees thousands of probes.
+# The incremental cycle pricer and the -no-delta whole-module oracle (which
+# also turns off the size delta engine) must render byte-identical stdout
+# for cycle-aware tuning on every example, and the pareto sweep must print
+# a frontier. The same identity must hold for the pareto experiment over a
+# scaled corpus, where the repricer sees thousands of probes.
 for f in examples/minc/*.minc; do
   cdelta="$(go run ./cmd/inlinetune -objective weighted "$f" 2>/dev/null)"
-  coracle="$(go run ./cmd/inlinetune -objective weighted -no-cycledelta "$f" 2>/dev/null)"
+  coracle="$(go run ./cmd/inlinetune -objective weighted -no-delta "$f" 2>/dev/null)"
   if [[ "${cdelta}" != "${coracle}" ]]; then
-    echo "cycle delta / -no-cycledelta disagree on ${f}:"
+    echo "cycle delta / -no-delta disagree on ${f}:"
     diff <(echo "${cdelta}") <(echo "${coracle}") || true
     exit 1
   fi
@@ -137,9 +137,9 @@ if ! grep -q 'lambda' <<<"${pareto_out}"; then
   exit 1
 fi
 pexp_delta="$(go run ./cmd/inlinebench -exp pareto -scale 0.1 2>/dev/null)"
-pexp_oracle="$(go run ./cmd/inlinebench -exp pareto -scale 0.1 -no-cycledelta -jobs 2 2>/dev/null)"
+pexp_oracle="$(go run ./cmd/inlinebench -exp pareto -scale 0.1 -no-delta -jobs 2 2>/dev/null)"
 if [[ "${pexp_delta}" != "${pexp_oracle}" ]]; then
-  echo "pareto experiment: cycle delta / -no-cycledelta disagree:"
+  echo "pareto experiment: cycle delta / -no-delta disagree:"
   diff <(echo "${pexp_delta}") <(echo "${pexp_oracle}") || true
   exit 1
 fi

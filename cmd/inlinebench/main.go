@@ -17,27 +17,29 @@
 //	-rounds N     autotuning rounds (default 4)
 //	-cap N        recursive-space cap for exhaustive experiments (default 2^14)
 //	-jobs N       parallelism: files, subtrees, and experiment cases
-//	              (default GOMAXPROCS; -jobs 1 forces a sequential run)
+//	              (default and 0: GOMAXPROCS; -jobs 1 forces a sequential
+//	              run)
 //	-check        checked compilation: verify IR invariants after every
-//	              inline step and opt pass of every evaluation (slow)
-//	-no-delta     disable the incremental delta-evaluation engine; every
-//	              probe prices a whole configuration (differential oracle)
+//	              inline step and opt pass of every evaluation (slow); the
+//	              fast paths are off, so every evaluation runs the
+//	              whole-module pipeline
+//	-no-delta     disable the incremental delta-evaluation engines: every
+//	              probe prices a whole configuration, in bytes and (the
+//	              pareto experiment) in cycles (differential oracle)
 //	-no-prune     disable the branch-and-bound layer of the optimal search;
 //	              exhaustive experiments run the plain recursion instead
 //	              (differential oracle — stdout is byte-identical)
 //	-no-fncache   disable the per-function compile cache: every closure is
 //	              compiled afresh (differential oracle)
-//	-no-cycledelta cycle pricers (the pareto experiment) evaluate whole
-//	              configurations instead of repricing incrementally
-//	              (differential oracle — stdout is byte-identical)
 //	-cache-dir d  persist the content cache in directory d: entries from a
 //	              previous run are reused, and this run's are saved back
 //	-cpuprofile f write a CPU profile to f
 //	-memprofile f write a heap profile to f at exit
 //
-// Results are bit-identical for every -jobs value, for -no-delta and
-// -no-fncache, and for warm -cache-dir reruns; the run ends with
-// compile-cache statistics and total wall-clock time on stderr.
+// Results are bit-identical for every -jobs value, for -no-delta,
+// -no-prune, -no-fncache, -no-shard and -check, and for warm -cache-dir
+// reruns; the run ends with compile-cache statistics and total wall-clock
+// time on stderr.
 package main
 
 import (
@@ -48,7 +50,6 @@ import (
 	"time"
 
 	"optinline/internal/cli"
-	"optinline/internal/compile"
 	"optinline/internal/experiments"
 )
 
@@ -61,17 +62,15 @@ func main() {
 
 func run() error {
 	var (
-		eng          = cli.NewEngine(flag.CommandLine, "inlinebench")
-		exp          = flag.String("exp", "all", "experiment id or 'all'")
-		list         = flag.Bool("list", false, "list experiment IDs")
-		scale        = flag.Float64("scale", 1.0, "workload scale")
-		rounds       = flag.Int("rounds", 4, "autotuning rounds")
-		spaceCap     = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
-		jobs         = flag.Int("jobs", 0, "parallel jobs (0 = GOMAXPROCS)")
-		noMemo       = flag.Bool("no-memo", false, "disable the per-component memoized compile path (for measuring its effect)")
-		noShard      = flag.Bool("no-shard", false, "linked-module experiments: one merged compiler instead of per-component shards (differential oracle)")
-		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricers evaluate whole configurations instead of repricing incrementally (differential oracle)")
-		check        = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass (slow)")
+		eng      = cli.NewEngine(flag.CommandLine, "inlinebench")
+		exp      = flag.String("exp", "all", "experiment id or 'all'")
+		list     = flag.Bool("list", false, "list experiment IDs")
+		scale    = flag.Float64("scale", 1.0, "workload scale")
+		rounds   = flag.Int("rounds", 4, "autotuning rounds")
+		spaceCap = flag.Uint64("cap", 1<<14, "recursive-space cap for exhaustive experiments")
+		jobs     = cli.Jobs(flag.CommandLine)
+		noShard  = flag.Bool("no-shard", false, "linked-module experiments: one merged compiler instead of per-component shards (differential oracle)")
+		check    = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass (slow)")
 	)
 	flag.Parse()
 	if *list {
@@ -92,17 +91,10 @@ func run() error {
 		Workers:       *jobs,
 		ExhaustiveCap: *spaceCap,
 		Rounds:        *rounds,
-		Configure: func(c *compile.Compiler) {
-			if *noMemo {
-				c.SetMemoize(false)
-			}
-			eng.Configure(c)
-		},
-		Checked:           *check,
-		DisablePrune:      eng.NoPrune,
-		FnCache:           eng.FnCache(),
-		DisableShard:      *noShard,
-		DisableCycleDelta: *noCycleDelta,
+		Configure:     eng.Configure,
+		Checked:       *check,
+		FnCache:       eng.FnCache(),
+		DisableShard:  *noShard,
 	})
 	fmt.Fprintf(os.Stderr, "corpus generated in %v\n", time.Since(start).Round(time.Millisecond))
 

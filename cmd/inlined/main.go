@@ -51,8 +51,9 @@
 // objectives profile entry(args...) on the no-inline baseline once — the
 // profile and its incremental cycle pricer are pooled across requests —
 // and report initCycles/bestCycles plus per-round cycles alongside the
-// size trace. "noCycleDelta": true prices every probe with the
-// whole-module oracle instead; the response is byte-identical either way.
+// size trace. Every probe is repriced incrementally; the whole-module
+// oracle is the -no-delta switch of the CLIs (internal/server's tests check
+// the daemon's bodies against it).
 // GET /stats exposes the pricer pool (profiles cached, repricings,
 // whole-module fallbacks, replay events) under "cyclePricers".
 package main

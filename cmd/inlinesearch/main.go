@@ -25,8 +25,9 @@
 //	-target x86|wasm    size model (default x86)
 //	-max-space N        abort if the recursive space exceeds N evaluations
 //	                    (with -link the bound applies per component)
-//	-jobs N             parallel subtree evaluations (default GOMAXPROCS;
-//	                    results are bit-identical for every value)
+//	-jobs N             parallel subtree evaluations (default and 0:
+//	                    GOMAXPROCS; results are bit-identical for every
+//	                    value)
 //	-dot                print optimal-vs-heuristic call graphs as DOT
 //	-check              checked compilation: verify IR invariants after
 //	                    every inline step and opt pass of every evaluation
@@ -48,7 +49,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 
 	"optinline/internal/callgraph"
 	"optinline/internal/cli"
@@ -71,7 +71,7 @@ func run() error {
 		lk       = cli.NewLink(flag.CommandLine)
 		target   = cli.Target(flag.CommandLine)
 		maxSpace = flag.Uint64("max-space", 1<<20, "abort beyond this many evaluations")
-		jobs     = flag.Int("jobs", 0, "parallel subtree evaluations (0 = GOMAXPROCS)")
+		jobs     = cli.Jobs(flag.CommandLine)
 		dot      = flag.Bool("dot", false, "print DOT call graphs (optimal vs heuristic)")
 		tree     = flag.Bool("tree", false, "print the materialized inlining tree (paper Figure 6)")
 		check    = flag.Bool("check", false, "checked compilation: verify IR invariants after every inline step and opt pass")
@@ -83,9 +83,6 @@ func run() error {
 		return err
 	}
 	defer stop()
-	if *jobs == 0 {
-		*jobs = runtime.GOMAXPROCS(0)
-	}
 	if lk.Active() {
 		if flag.NArg() == 0 {
 			return fmt.Errorf("usage: inlinesearch -link [flags] a.minc b.minc ...")
@@ -93,7 +90,6 @@ func run() error {
 		opts := link.SearchOptions{
 			ShardOptions: eng.Shard(*target, *check, *jobs),
 			MaxSpace:     *maxSpace,
-			NoPrune:      eng.NoPrune,
 		}
 		opts.NoShard = *noShard
 		if lk.Relink != "" {
@@ -126,7 +122,7 @@ func run() error {
 	}
 	fmt.Printf("recursively partitioned space: %d evaluations (2^%.1f)\n", rec, math.Log2(float64(rec)))
 
-	res, ok := search.Optimal(comp, search.Options{Workers: *jobs, MaxSpace: *maxSpace, NoPrune: eng.NoPrune})
+	res, ok := search.Optimal(comp, search.Options{Workers: *jobs, MaxSpace: *maxSpace})
 	if !ok {
 		return fmt.Errorf("search aborted")
 	}

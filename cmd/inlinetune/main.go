@@ -22,10 +22,13 @@
 //	-init clean|os|both   starting configuration(s) (default both)
 //	-rounds N             tuning rounds (default 4)
 //	-target x86|wasm      size model (default x86)
-//	-jobs N               parallel per-edge evaluations (default GOMAXPROCS)
+//	-jobs N               parallel per-edge evaluations (default and 0:
+//	                      GOMAXPROCS; stdout is identical for every value)
 //	-dot                  print the tuned call graph as DOT
-//	-no-delta             disable the incremental delta-evaluation engine;
-//	                      every probe prices a whole configuration
+//	-no-delta             disable the incremental delta-evaluation engines:
+//	                      every probe prices a whole configuration, in bytes
+//	                      and, for cycle objectives, in cycles (differential
+//	                      oracle — stdout is byte-identical)
 //	-exact-components N   after the rounds, re-solve exactly (branch-and-
 //	                      bound) every call-graph component whose recursive
 //	                      space fits N tree evaluations, under the tuned
@@ -44,9 +47,6 @@
 //	-entry f, -args a,b   profiled root and arguments (default entry(7))
 //	-fuel N               profiling interpretation fuel
 //	-cache-bytes N        modelled i-cache capacity (0 = default)
-//	-no-cycledelta        cycle pricer evaluates whole configurations
-//	                      instead of repricing incrementally (differential
-//	                      oracle — stdout is byte-identical)
 //	-cache-dir d          persist the per-function content cache in directory d
 //	-cpuprofile f         write a CPU profile to f
 //	-memprofile f         write a heap profile to f at exit
@@ -57,7 +57,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 
@@ -80,25 +79,24 @@ func main() {
 
 func run() error {
 	var (
-		eng          = cli.NewEngine(flag.CommandLine, "inlinetune")
-		lk           = cli.NewLink(flag.CommandLine)
-		target       = cli.Target(flag.CommandLine)
-		initMode     = flag.String("init", "both", "starting point: clean|os|both")
-		rounds       = flag.Int("rounds", 4, "tuning rounds")
-		jobs         = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel per-edge evaluations")
-		dot          = flag.Bool("dot", false, "print tuned call graph as DOT")
-		groups       = flag.Bool("groups", false, "also test per-callee group inlining (paper 5.2.1 extension)")
-		incr         = flag.Bool("incremental", false, "incremental rounds: only re-tune changed regions (paper 6 extension)")
-		exactComps   = flag.Uint64("exact-components", 0, "re-solve components whose recursive space fits N evaluations exactly after the rounds (0 = off)")
-		objective    = flag.String("objective", "size", "tuned objective: size|weighted|cycles|pareto")
-		lambda       = flag.Float64("lambda", 0.1, "cycle weight for -objective weighted")
-		lambdas      = flag.String("lambdas", "0.01,0.1,1", "interior weights for -objective pareto (comma-separated)")
-		entryName    = flag.String("entry", "entry", "profiled root function for cycle objectives")
-		entryArgs    = flag.String("args", "7", "profiled root arguments (comma-separated integers)")
-		fuel         = flag.Int64("fuel", 20_000_000, "profiling interpretation fuel")
-		cacheBytes   = flag.Int("cache-bytes", 0, "modelled i-cache capacity in bytes (0 = interpreter default)")
-		noCycleDelta = flag.Bool("no-cycledelta", false, "cycle pricer evaluates whole configurations instead of repricing incrementally (differential oracle)")
-		noShard      = flag.Bool("no-shard", false, "with -link: whole-module tuner on one merged compiler (oracle)")
+		eng        = cli.NewEngine(flag.CommandLine, "inlinetune")
+		lk         = cli.NewLink(flag.CommandLine)
+		target     = cli.Target(flag.CommandLine)
+		initMode   = flag.String("init", "both", "starting point: clean|os|both")
+		rounds     = flag.Int("rounds", 4, "tuning rounds")
+		jobs       = cli.Jobs(flag.CommandLine)
+		dot        = flag.Bool("dot", false, "print tuned call graph as DOT")
+		groups     = flag.Bool("groups", false, "also test per-callee group inlining (paper 5.2.1 extension)")
+		incr       = flag.Bool("incremental", false, "incremental rounds: only re-tune changed regions (paper 6 extension)")
+		exactComps = flag.Uint64("exact-components", 0, "re-solve components whose recursive space fits N evaluations exactly after the rounds (0 = off)")
+		objective  = flag.String("objective", "size", "tuned objective: size|weighted|cycles|pareto")
+		lambda     = flag.Float64("lambda", 0.1, "cycle weight for -objective weighted")
+		lambdas    = flag.String("lambdas", "0.01,0.1,1", "interior weights for -objective pareto (comma-separated)")
+		entryName  = flag.String("entry", "entry", "profiled root function for cycle objectives")
+		entryArgs  = flag.String("args", "7", "profiled root arguments (comma-separated integers)")
+		fuel       = flag.Int64("fuel", 20_000_000, "profiling interpretation fuel")
+		cacheBytes = flag.Int("cache-bytes", 0, "modelled i-cache capacity in bytes (0 = interpreter default)")
+		noShard    = flag.Bool("no-shard", false, "with -link: whole-module tuner on one merged compiler (oracle)")
 	)
 	flag.Parse()
 	stop, err := eng.Start()
@@ -113,7 +111,7 @@ func run() error {
 		return fmt.Errorf("unknown init mode %q", *initMode)
 	}
 	cf, err := parseCycleFlags(*objective, *lambda, *lambdas, *entryName, *entryArgs,
-		*fuel, *cacheBytes, *noCycleDelta)
+		*fuel, *cacheBytes)
 	if err != nil {
 		return err
 	}
@@ -164,7 +162,7 @@ func run() error {
 	opts := autotune.ExtOptions{
 		Options:      autotune.Options{Rounds: *rounds, Workers: *jobs},
 		GroupCallees: *groups, Incremental: *incr,
-		ExactComponents: *exactComps, NoPrune: eng.NoPrune,
+		ExactComponents: *exactComps,
 	}
 	tune := func(fromOs bool) (autotune.Result, error) {
 		return autotune.TuneExtended(comp, initConfig(fromOs, osCfg), opts), nil
@@ -249,21 +247,20 @@ func pct(a, b int) float64 {
 // cycleFlags bundles the cycle-objective knobs shared by the single-file
 // and -link paths.
 type cycleFlags struct {
-	objective    string // size|weighted|cycles|pareto
-	lambda       float64
-	lambdas      []float64
-	entry        string
-	args         []int64
-	fuel         int64
-	cacheBytes   int
-	noCycleDelta bool
+	objective  string // size|weighted|cycles|pareto
+	lambda     float64
+	lambdas    []float64
+	entry      string
+	args       []int64
+	fuel       int64
+	cacheBytes int
 }
 
 func parseCycleFlags(objective string, lambda float64, lambdas, entry, args string,
-	fuel int64, cacheBytes int, noCycleDelta bool) (cycleFlags, error) {
+	fuel int64, cacheBytes int) (cycleFlags, error) {
 	cf := cycleFlags{
 		objective: objective, lambda: lambda, entry: entry,
-		fuel: fuel, cacheBytes: cacheBytes, noCycleDelta: noCycleDelta,
+		fuel: fuel, cacheBytes: cacheBytes,
 	}
 	switch objective {
 	case "size", "weighted", "cycles", "pareto":
@@ -306,17 +303,11 @@ func pricerFor(comp *compile.Compiler, cf cycleFlags) (*compile.CyclePricer, *in
 		return nil, nil, fmt.Errorf("profiling %s%v: %w", cf.entry, cf.args, err)
 	}
 	pricer, err := comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cf.cacheBytes})
-	if err != nil {
-		return nil, nil, err
-	}
-	if cf.noCycleDelta {
-		pricer.SetCycleDelta(false)
-	}
-	return pricer, prof, nil
+	return pricer, prof, err
 }
 
 // runCycleTune tunes one translation unit for a cycle-aware objective.
-// stdout is byte-identical with and without -no-cycledelta.
+// stdout is byte-identical with and without -no-delta.
 func runCycleTune(comp *compile.Compiler, osCfg *callgraph.Config, cf cycleFlags,
 	initMode string, rounds, workers int) error {
 	pricer, prof, err := pricerFor(comp, cf)
@@ -421,7 +412,6 @@ func runLinkTune(lk *cli.Link, opts link.TuneOptions, initMode string, cf cycleF
 		opts.Args = cf.args
 		opts.Fuel = cf.fuel
 		opts.CacheBytes = cf.cacheBytes
-		opts.NoCycleDelta = cf.noCycleDelta
 	}
 	report := func(name string, tr link.TuneResult) {
 		if !cycleAware {

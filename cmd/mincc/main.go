@@ -114,7 +114,6 @@ func run() error {
 		if err := runRelinkCC(lk, link.SearchOptions{
 			ShardOptions: eng.Shard(*target, *check, 0),
 			MaxSpace:     1 << 22,
-			NoPrune:      eng.NoPrune,
 		}); err != nil {
 			return err
 		}
@@ -148,7 +147,7 @@ func run() error {
 		best, _, _ := autotune.Combined(comp, init, autotune.Options{Rounds: *rounds})
 		cfg = best.Config
 	case "optimal":
-		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22, NoPrune: eng.NoPrune})
+		res, ok := search.Optimal(comp, search.Options{MaxSpace: 1 << 22})
 		if !ok {
 			return fmt.Errorf("search space too large for exhaustive search (%d+ evaluations); use -inline tune", res.SpaceSize)
 		}

@@ -36,11 +36,10 @@ type ExtOptions struct {
 	// under the tuned labels of the rest of the module. Component optima are
 	// independent of outside labels (the paper's independence theorem), so
 	// each polish yields the true component optimum given the rest and the
-	// result is monotonically no worse than the tuned one.
+	// result is monotonically no worse than the tuned one. A compiler with
+	// SetPrune(false) polishes with the exhaustive recursion instead
+	// (differential oracle; same result).
 	ExactComponents uint64
-	// NoPrune makes the ExactComponents polish use the exhaustive recursion
-	// instead of branch-and-bound (differential oracle; same result).
-	NoPrune bool
 }
 
 // TuneExtended runs the autotuner with the paper's suggested extensions.
@@ -60,7 +59,7 @@ func TuneExtended(c *compile.Compiler, init *callgraph.Config, opts ExtOptions) 
 // each solve fixes the labels adopted so far, so the polish is deterministic
 // and its result monotonically improves on the tuned configuration.
 func polishComponents(c *compile.Compiler, res *Result, opts ExtOptions) {
-	sOpts := search.Options{Workers: opts.Workers, NoPrune: opts.NoPrune}
+	sOpts := search.Options{Workers: opts.Workers}
 	for _, comp := range search.ComponentSubgraphs(c.Graph()) {
 		if n, capped := search.SubspaceSize(comp, opts.ExactComponents); capped || n > opts.ExactComponents {
 			continue

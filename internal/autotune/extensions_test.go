@@ -180,8 +180,9 @@ func TestExactComponentPolishReachesOptimum(t *testing.T) {
 		}
 		// The -no-prune oracle must agree bit for bit.
 		cn := compile.New(f.Module, codegen.TargetX86)
+		cn.SetPrune(false)
 		resN := TuneExtended(cn, nil, ExtOptions{
-			Options: Options{Rounds: 2}, ExactComponents: 1 << 12, NoPrune: true,
+			Options: Options{Rounds: 2}, ExactComponents: 1 << 12,
 		})
 		if resN.Size != res.Size || !resN.Config.Equal(res.Config) {
 			t.Fatalf("%s: polish with -no-prune diverged: %d vs %d", f.Name, resN.Size, res.Size)

@@ -95,12 +95,12 @@ func TestTuneWeightedWorkerDeterminism(t *testing.T) {
 
 // TestTuneWeightedDeltaOracle: the weighted session must produce identical
 // results whether cycles are priced incrementally or through the
-// -no-cycledelta whole-module oracle.
+// -no-delta whole-module oracle.
 func TestTuneWeightedDeltaOracle(t *testing.T) {
 	run := func(disable bool) Result {
 		c, pricer := weightedFixture(t)
 		if disable {
-			pricer.SetCycleDelta(false)
+			c.SetDelta(false)
 		}
 		return TuneWeighted(c, pricer, 0.1, nil, Options{Rounds: 3, Workers: 2})
 	}

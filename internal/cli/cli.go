@@ -25,22 +25,18 @@ import (
 // Engine holds the flags every engine CLI registers and the fn-cache store
 // they select.
 type Engine struct {
-	// NoPrune is -no-prune: the search runs the exhaustive recursion
-	// (differential oracle). The other switches act through Configure.
-	NoPrune bool
-
-	name                   string // command name, prefixing diagnostics
-	noDelta, noFnCache     bool
-	cacheDir               string
-	cpuProfile, memProfile string
-	fncache                *compile.FnCache
+	name                        string // command name, prefixing diagnostics
+	noDelta, noPrune, noFnCache bool
+	cacheDir                    string
+	cpuProfile, memProfile      string
+	fncache                     *compile.FnCache
 }
 
 // NewEngine registers the engine flags on fs for the command called name.
 func NewEngine(fs *flag.FlagSet, name string) *Engine {
 	e := &Engine{name: name}
 	fs.BoolVar(&e.noDelta, "no-delta", false, "disable the incremental delta-evaluation engine (differential oracle)")
-	fs.BoolVar(&e.NoPrune, "no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
+	fs.BoolVar(&e.noPrune, "no-prune", false, "disable the branch-and-bound search layer (differential oracle)")
 	fs.BoolVar(&e.noFnCache, "no-fncache", false, "disable the per-function compile cache (differential oracle)")
 	fs.StringVar(&e.cacheDir, "cache-dir", "", "persist the per-function content cache in this directory")
 	fs.StringVar(&e.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
@@ -107,9 +103,15 @@ func (e *Engine) Finish() {
 // Configure applies the oracle switches to one compiler. It is the only
 // place they are applied: direct compilers call it, and linked runs pass
 // it as link.ShardOptions.Configure so every shard gets the same switches.
+// The compiler carries them to every layer built on it: -no-delta turns off
+// the size delta engine and every cycle pricer's repricing, -no-prune the
+// search's branch-and-bound layer, -no-fncache the per-function cache.
 func (e *Engine) Configure(c *compile.Compiler) {
 	if e.noDelta {
 		c.SetDelta(false)
+	}
+	if e.noPrune {
+		c.SetPrune(false)
 	}
 	if e.noFnCache {
 		c.SetFnCache(false)
@@ -144,6 +146,13 @@ func ParseTarget(name string) (codegen.Target, error) {
 		return codegen.TargetWASM, nil
 	}
 	return 0, fmt.Errorf("unknown target %q (want x86 or wasm)", name)
+}
+
+// Jobs registers -jobs on fs: the run's worker budget, GOMAXPROCS by
+// default. Every engine layer also reads 0 as GOMAXPROCS, and a negative
+// value as sequential where it has a sequential path.
+func Jobs(fs *flag.FlagSet) *int {
+	return fs.Int("jobs", runtime.GOMAXPROCS(0), "parallel workers (0 = GOMAXPROCS; results are identical for every value)")
 }
 
 type targetFlag struct{ t *codegen.Target }

@@ -12,6 +12,7 @@ import (
 	"optinline/internal/callgraph"
 	"optinline/internal/codegen"
 	"optinline/internal/compile"
+	"optinline/internal/interp"
 	"optinline/internal/lang"
 	"optinline/internal/link"
 )
@@ -40,13 +41,14 @@ func TestConfigureDisablesOracleLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		argv          []string
-		delta, fncach bool
+		argv                       []string
+		delta, prune, fncache, cyc bool
 	}{
-		{nil, true, true},
-		{[]string{"-no-delta"}, false, true},
-		{[]string{"-no-fncache"}, true, false},
-		{[]string{"-no-delta", "-no-fncache"}, false, false},
+		{nil, true, true, true, true},
+		{[]string{"-no-delta"}, false, true, true, false},
+		{[]string{"-no-prune"}, true, false, true, true},
+		{[]string{"-no-fncache"}, true, true, false, true},
+		{[]string{"-no-delta", "-no-prune", "-no-fncache"}, false, false, false, false},
 	} {
 		e, _, target := newEngine(t, tc.argv...)
 		stop, err := e.Start()
@@ -57,9 +59,12 @@ func TestConfigureDisablesOracleLayers(t *testing.T) {
 		shard := compile.New(mod, *target)
 		e.Shard(*target, false, 1).Configure(shard)
 		for name, c := range map[string]*compile.Compiler{"NewCompiler": direct, "Shard.Configure": shard} {
-			if c.DeltaEnabled() != tc.delta || c.FnCacheEnabled() != tc.fncach {
-				t.Errorf("%v %s: delta %v fncache %v, want %v %v",
-					tc.argv, name, c.DeltaEnabled(), c.FnCacheEnabled(), tc.delta, tc.fncach)
+			if c.DeltaEnabled() != tc.delta || c.PruneActive() != tc.prune || c.FnCacheEnabled() != tc.fncache {
+				t.Errorf("%v %s: delta %v prune %v fncache %v, want %v %v %v", tc.argv, name,
+					c.DeltaEnabled(), c.PruneActive(), c.FnCacheEnabled(), tc.delta, tc.prune, tc.fncache)
+			}
+			if got := newPricer(t, c).DeltaEnabled(); got != tc.cyc {
+				t.Errorf("%v %s: cycle pricer delta %v, want %v", tc.argv, name, got, tc.cyc)
 			}
 		}
 		if direct.FnCache() != e.FnCache() {
@@ -67,6 +72,24 @@ func TestConfigureDisablesOracleLayers(t *testing.T) {
 		}
 		stop()
 	}
+}
+
+// newPricer profiles c's no-inline build from entry(7) and prices it.
+func newPricer(t *testing.T, c *compile.Compiler) *compile.CyclePricer {
+	t.Helper()
+	built, err := c.Build(callgraph.NewConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, prof, err := interp.Collect(built, "entry", []int64{7}, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := c.NewCyclePricer(prof, compile.CycleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestTargetFlag(t *testing.T) {

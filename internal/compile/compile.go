@@ -75,6 +75,7 @@ type Compiler struct {
 	memoize   bool
 	check     bool
 	delta     bool
+	prune     bool
 	fncache   *FnCache
 	fncacheOn bool
 
@@ -135,6 +136,7 @@ func NewWithOptions(m *ir.Module, target codegen.Target, opts Options) *Compiler
 		memo:        buildMemo(base, g),
 		memoize:     true,
 		delta:       true,
+		prune:       true,
 		fncache:     fc,
 		fncacheOn:   true,
 		check:       opts.Check,
@@ -168,10 +170,11 @@ func (c *Compiler) recordCheckFailure(err error) {
 // itself. Not safe to call concurrently with Size.
 func (c *Compiler) SetMemoize(on bool) { c.memoize = on }
 
-// SetDelta switches the incremental delta-evaluation path on or off (on by
+// SetDelta switches the incremental delta-evaluation paths on or off (on by
 // default). Off, Sized/SizeDelta/Rebase fall back to whole-configuration
-// Size calls — the differential oracle behind the CLIs' -no-delta flags.
-// Not safe to call concurrently with Size.
+// Size calls and every CyclePricer over this compiler evaluates whole
+// configurations — the differential oracle behind the CLIs' -no-delta
+// flags. Not safe to call concurrently with Size.
 func (c *Compiler) SetDelta(on bool) { c.delta = on }
 
 // SetFnCache switches the content-addressed per-function cache on or off

@@ -50,7 +50,7 @@ import (
 // reachability dirty set the size engine uses, because a function's
 // per-entry cost changes exactly when its inline closure can contain a
 // toggled site (the owner's ancestors) and its entry count changes exactly
-// when an incoming site toggles (the callee). The -no-cycledelta oracle
+// when an incoming site toggles (the callee). The -no-delta oracle
 // evaluates the same model non-incrementally from a whole-module Build;
 // results are byte-identical by the memo engine's soundness argument (the
 // per-closure body is bit-identical to the whole-module body).
@@ -109,7 +109,6 @@ type cycEvent struct {
 type CyclePricer struct {
 	c          *Compiler
 	cacheBytes int
-	delta      bool
 
 	entriesBase []int64       // per memo func: frames from the root and non-candidate sites
 	hits        map[int]int64 // candidate site -> profiled frames
@@ -147,7 +146,6 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 	cp := &CyclePricer{
 		c:           c,
 		cacheBytes:  cacheBytes,
-		delta:       true,
 		entriesBase: []int64(nil),
 		hits:        map[int]int64{},
 	}
@@ -191,16 +189,11 @@ func (c *Compiler) NewCyclePricer(p *interp.Profile, opts CycleOptions) (*CycleP
 	return cp, nil
 }
 
-// SetCycleDelta switches the incremental repricing path on or off (on by
-// default). Off, every evaluation runs the whole-module Build — the
-// differential oracle behind the CLIs' -no-cycledelta flags. Not safe to
-// call concurrently with Cycles.
-func (p *CyclePricer) SetCycleDelta(on bool) { p.delta = on }
-
 // DeltaEnabled reports whether configurations are repriced incrementally.
-// Like the size delta engine, the incremental path rides on the per-closure
-// machinery, so checked mode and -no-memo force the full Build path.
-func (p *CyclePricer) DeltaEnabled() bool { return p.delta && p.c.memoize && !p.c.check }
+// It follows the compiler's delta switch: the repricer walks the same dirty
+// set as the size delta engine, so SetDelta(false) (-no-delta), memo off and
+// checked mode all force the whole-module Build path.
+func (p *CyclePricer) DeltaEnabled() bool { return p.c.DeltaEnabled() }
 
 // CacheBytes returns the modelled i-cache capacity.
 func (p *CyclePricer) CacheBytes() int { return p.cacheBytes }
@@ -397,7 +390,7 @@ func (p *CyclePricer) contribCycled(cfg *callgraph.Config) *Cycled {
 	return h
 }
 
-// fullCycles prices cfg with a whole-module Build — the -no-cycledelta
+// fullCycles prices cfg with a whole-module Build — the -no-delta
 // oracle. It evaluates the identical model (same entry counts, same static
 // walk over the final bodies, same replay), just without the per-closure
 // cache or the dirty-set shortcut.

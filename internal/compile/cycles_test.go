@@ -53,12 +53,13 @@ func cycleCorpus(t testing.TB) []struct {
 
 // TestCyclesDeltaMatchesFull is the exactness theorem of the cycle engine:
 // for arbitrary bases and toggle sets, the incremental price must equal the
-// -no-cycledelta whole-module evaluation of the same configuration.
+// -no-delta whole-module evaluation of the same configuration.
 func TestCyclesDeltaMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, fc := range cycleCorpus(t) {
 		dc := New(fc.file.Module, codegen.TargetX86)
 		fcomp := New(fc.file.Module, codegen.TargetX86)
+		fcomp.SetDelta(false)
 		delta, err := dc.NewCyclePricer(fc.prof, CycleOptions{CacheBytes: 512})
 		if err != nil {
 			t.Fatalf("%s: %v", fc.file.Name, err)
@@ -67,7 +68,6 @@ func TestCyclesDeltaMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fc.file.Name, err)
 		}
-		full.SetCycleDelta(false)
 		sites := dc.Graph().Sites()
 
 		for trial := 0; trial < 3; trial++ {
@@ -120,9 +120,9 @@ func TestCycleRebaseAdvancesHandle(t *testing.T) {
 	for _, fc := range cycleCorpus(t) {
 		dc := New(fc.file.Module, codegen.TargetX86)
 		fcomp := New(fc.file.Module, codegen.TargetX86)
+		fcomp.SetDelta(false)
 		delta, _ := dc.NewCyclePricer(fc.prof, CycleOptions{})
 		full, _ := fcomp.NewCyclePricer(fc.prof, CycleOptions{})
-		full.SetCycleDelta(false)
 		sites := dc.Graph().Sites()
 
 		handle := delta.Priced(callgraph.NewConfig())
@@ -184,21 +184,23 @@ func TestCyclesParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestCyclePricerDisabledPaths: memo-off and checked compilers must force
-// the full Build path, transparently.
+// TestCyclePricerDisabledPaths: delta-off, memo-off and checked compilers
+// must force the full Build path, transparently.
 func TestCyclePricerDisabledPaths(t *testing.T) {
 	fc := cycleCorpus(t)[0]
 	ref := New(fc.file.Module, codegen.TargetX86)
+	ref.SetDelta(false)
 	oracle, _ := ref.NewCyclePricer(fc.prof, CycleOptions{})
-	oracle.SetCycleDelta(false)
 	s := ref.Graph().Sites()[0]
 	probe := callgraph.NewConfig().Set(s, true)
 	want := oracle.Cycles(probe)
 
+	deltaOff := New(fc.file.Module, codegen.TargetX86)
+	deltaOff.SetDelta(false)
 	memoOff := New(fc.file.Module, codegen.TargetX86)
 	memoOff.SetMemoize(false)
 	checked := NewWithOptions(fc.file.Module, codegen.TargetX86, Options{Check: true})
-	for name, c := range map[string]*Compiler{"memo-off": memoOff, "checked": checked} {
+	for name, c := range map[string]*Compiler{"delta-off": deltaOff, "memo-off": memoOff, "checked": checked} {
 		p, err := c.NewCyclePricer(fc.prof, CycleOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -11,17 +11,24 @@ import "optinline/internal/callgraph"
 // how much pruning happened rather than on how many configurations were
 // compiled.
 //
-// Availability is deliberately wider than the delta engine's: pruning rides
-// on the per-function memo only (memoize && !check), independent of the
-// SetDelta toggle. A -no-delta run therefore makes byte-identical pruning
-// decisions — and byte-identical evaluation counters — as a delta run,
-// which is what the search's counter-parity tests pin down.
+// Availability is deliberately wider than the delta engine's: besides its
+// own SetPrune switch, pruning rides on the per-function memo only
+// (memoize && !check), independent of the SetDelta toggle. A -no-delta run
+// therefore makes byte-identical pruning decisions — and byte-identical
+// evaluation counters — as a delta run, which is what the search's
+// counter-parity tests pin down.
 
-// PruneActive reports whether contribution handles for branch-and-bound
-// bookkeeping are available: the per-function memo must be on and checked
-// mode off (checked mode forces whole-module pipelines, and pruning would
-// skip exactly the work being checked).
-func (c *Compiler) PruneActive() bool { return c.memoize && !c.check }
+// SetPrune switches the branch-and-bound layer of the optimal search on or
+// off (on by default). Off, the search runs the exhaustive recursion — the
+// differential oracle behind the CLIs' -no-prune flags. Not safe to call
+// concurrently with a search.
+func (c *Compiler) SetPrune(on bool) { c.prune = on }
+
+// PruneActive reports whether the search prunes and contribution handles
+// for its bookkeeping are available: pruning must be on, the per-function
+// memo on and checked mode off (checked mode forces whole-module pipelines,
+// and pruning would skip exactly the work being checked).
+func (c *Compiler) PruneActive() bool { return c.prune && c.memoize && !c.check }
 
 // ContribBase builds a contribution handle for cfg without consulting or
 // charging the whole-configuration cache. Returns nil when PruneActive is

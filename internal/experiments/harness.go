@@ -34,21 +34,16 @@ type Config struct {
 	ExhaustiveCap uint64
 	// Rounds for round-based autotuning; 0 defaults to 4.
 	Rounds int
-	// Configure, when non-nil, runs on every per-file compiler of the
-	// corpus after construction — the hook inlinebench applies its
-	// -no-memo, -no-delta and -no-fncache switches through (the same hook
-	// link.ShardOptions takes). Those switches are differential oracles:
-	// output must be byte-identical either way.
+	// Configure, when non-nil, runs on every compiler of the run after
+	// construction — the hook inlinebench applies its -no-delta, -no-prune
+	// and -no-fncache switches through (the same hook link.ShardOptions
+	// takes). Those switches are differential oracles: output must be
+	// byte-identical either way.
 	Configure func(*compile.Compiler)
 	// Checked runs every compiler in checked compilation mode
 	// (compile.Options.Check): invariants verified after every inline step
 	// and opt pass. Much slower; regression tripwire for inlinebench -check.
 	Checked bool
-	// DisablePrune turns off the branch-and-bound layer of the optimal
-	// search (component memo + admissible bounds), running the plain
-	// exhaustive recursion instead (inlinebench -no-prune). Differential
-	// oracle: output must be byte-identical either way.
-	DisablePrune bool
 	// FnCache, when non-nil, is the content-addressed cache shared by every
 	// compiler in the corpus — typically compile.OpenFnCache(dir) so sizes
 	// persist across runs. Nil creates a fresh in-memory cache, still
@@ -59,11 +54,6 @@ type Config struct {
 	// of per-component sub-modules (inlinebench -no-shard). Differential
 	// oracle: output must be byte-identical either way.
 	DisableShard bool
-	// DisableCycleDelta makes every cycle pricer evaluate configurations
-	// with the whole-module oracle instead of incremental repricing
-	// (inlinebench -no-cycledelta). Differential oracle: output must be
-	// byte-identical either way.
-	DisableCycleDelta bool
 }
 
 func (c Config) normalized() Config {
@@ -147,7 +137,7 @@ func (fd *fileData) profile() *interp.Profile {
 // cyclePricer returns (and caches) a cycle pricer over the baseline profile
 // at the given i-cache capacity. The profile's frame sequence is geometry-
 // independent, so one interpretation backs every capacity.
-func (fd *fileData) cyclePricer(cfg Config, cacheBytes int) *compile.CyclePricer {
+func (fd *fileData) cyclePricer(cacheBytes int) *compile.CyclePricer {
 	if fd.profile() == nil {
 		return nil
 	}
@@ -160,9 +150,6 @@ func (fd *fileData) cyclePricer(cfg Config, cacheBytes int) *compile.CyclePricer
 	if err != nil {
 		return nil
 	}
-	if cfg.DisableCycleDelta {
-		p.SetCycleDelta(false)
-	}
 	fd.pricers[cacheBytes] = p
 	return p
 }
@@ -170,11 +157,7 @@ func (fd *fileData) cyclePricer(cfg Config, cacheBytes int) *compile.CyclePricer
 // optimal runs (and caches) the exhaustive search, bounded by the cap.
 func (fd *fileData) optimal(cfg Config) (search.Result, bool) {
 	fd.optOnce.Do(func() {
-		fd.opt, fd.optOK = search.Optimal(fd.comp, search.Options{
-			Workers:  cfg.Workers,
-			MaxSpace: cfg.ExhaustiveCap,
-			NoPrune:  cfg.DisablePrune,
-		})
+		fd.opt, fd.optOK = search.Optimal(fd.comp, search.Options{Workers: cfg.Workers, MaxSpace: cfg.ExhaustiveCap})
 	})
 	return fd.opt, fd.optOK
 }

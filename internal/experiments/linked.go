@@ -64,14 +64,14 @@ func (h *Harness) LinkedCase() Result {
 			}
 			comp := h.compiler(mod)
 			sepNoInline += comp.Size(callgraph.NewConfig())
-			res, ok := search.Optimal(comp, search.Options{Workers: h.cfg.Workers, MaxSpace: 1 << 20, NoPrune: h.cfg.DisablePrune})
+			res, ok := search.Optimal(comp, search.Options{Workers: h.cfg.Workers, MaxSpace: 1 << 20})
 			if !ok {
 				return Result{ID: "linked-case", Title: "Cross-module linking", Text: "error: per-TU space over cap"}
 			}
 			sepOpt += res.Size
 			sepSites += len(comp.Graph().Edges)
 		}
-		res, ok, err := l.OptimalSearch(link.SearchOptions{ShardOptions: h.linkedShardOpts(), MaxSpace: 1 << 20, NoPrune: h.cfg.DisablePrune})
+		res, ok, err := l.OptimalSearch(link.SearchOptions{ShardOptions: h.linkedShardOpts(), MaxSpace: 1 << 20})
 		if err != nil || !ok {
 			return Result{ID: "linked-case", Title: "Cross-module linking", Text: fmt.Sprintf("error: linked search ok=%v err=%v", ok, err)}
 		}

@@ -87,8 +87,9 @@ func componentKey(p *Plan, sums []*tuSummary, ci int, target codegen.Target) Res
 }
 
 // searchKey derives the optimal-search cache key from a component key.
-// Workers, NoPrune, and scheduling do not enter: the search result is
-// oracle-guaranteed independent of them.
+// Workers, the compiler's oracle switches (SetPrune, SetDelta, SetFnCache)
+// and scheduling do not enter: the search result is oracle-guaranteed
+// independent of them.
 func searchKey(base ResultKey) ResultKey {
 	h := ir.NewHasher()
 	h.Str("search")

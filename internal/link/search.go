@@ -24,7 +24,7 @@ type ShardOptions struct {
 	// the merged module.
 	Compile compile.Options
 	// Configure, when non-nil, runs on every compiler after construction —
-	// the hook the CLIs use to apply -no-delta/-no-memo/-no-fncache
+	// the hook the CLIs use to apply -no-delta/-no-prune/-no-fncache
 	// uniformly across shards.
 	Configure func(*compile.Compiler)
 	// Workers follows search.Options.Workers: 0 selects GOMAXPROCS,
@@ -85,8 +85,6 @@ type SearchOptions struct {
 	// the unit of work sharding distributes — and is computed from the
 	// plan, so both modes abort identically without compiling anything.
 	MaxSpace uint64
-	// NoPrune disables the branch-and-bound layer, as in search.Options.
-	NoPrune bool
 }
 
 // SearchResult is the outcome of a cross-module optimal search.
@@ -177,11 +175,7 @@ func (l *Linker) solveComponent(ci int, opts SearchOptions) (compOut, error) {
 	}
 	c := opts.compiler(mod)
 	emptySize := c.Size(callgraph.NewConfig())
-	sres, ok := search.Optimal(c, search.Options{
-		Workers:  opts.Workers,
-		MaxSpace: opts.MaxSpace,
-		NoPrune:  opts.NoPrune,
-	})
+	sres, ok := search.Optimal(c, search.Options{Workers: opts.Workers, MaxSpace: opts.MaxSpace})
 	if !ok {
 		// Unreachable: the per-component space was bounded from the
 		// plan before any compiler was built.
@@ -266,10 +260,7 @@ func (l *Linker) searchMerged(opts SearchOptions, res *SearchResult) error {
 		if len(mg.Edges) != res.Components[ci].Edges {
 			return fmt.Errorf("link: component %d has %d edges merged, %d planned", ci, len(mg.Edges), res.Components[ci].Edges)
 		}
-		ccfg, csize := search.OptimalCompletion(c, mg, callgraph.NewConfig(), search.Options{
-			Workers: opts.Workers,
-			NoPrune: opts.NoPrune,
-		})
+		ccfg, csize := search.OptimalCompletion(c, mg, callgraph.NewConfig(), search.Options{Workers: opts.Workers})
 		res.Components[ci].Inlined = ccfg.InlineCount()
 		res.Components[ci].SizeDelta = csize - emptySize
 		cfg.Merge(ccfg)

@@ -25,7 +25,7 @@ func linkedS(t *testing.T) *Linker {
 }
 
 // tinyLinker builds a linker over a test-only profile sized so a full
-// exhaustive (NoPrune) search stays cheap even under the race detector,
+// exhaustive (SetPrune(false)) search stays cheap even under the race detector,
 // while keeping everything the differentials need: colliding file-local
 // names, cross-TU calls, several non-trivial components, and component
 // clusters big enough for the pruning engine's bound to matter.
@@ -161,6 +161,8 @@ func TestOptimalSearchShardedMatchesNoShardLinkedS(t *testing.T) {
 	}
 }
 
+func noPrune(c *compile.Compiler) { c.SetPrune(false) }
+
 // TestOptimalSearchWorkerParity: results must be bit-identical across
 // worker counts in both modes, including with pruning disabled.
 func TestOptimalSearchWorkerParity(t *testing.T) {
@@ -171,11 +173,11 @@ func TestOptimalSearchWorkerParity(t *testing.T) {
 		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: -1}},
 		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 4}},
 		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 1, NoShard: true}},
-		// The exhaustive (NoPrune) merged variant doubles as the oracle that
-		// caught a pruning-engine/compacted-graph index mismatch; the
-		// sharded NoPrune path is already covered by the search package's
-		// own differential tests.
-		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 8, NoShard: true}, NoPrune: true},
+		// The exhaustive (SetPrune(false)) merged variant doubles as the
+		// oracle that caught a pruning-engine/compacted-graph index
+		// mismatch; the sharded exhaustive path is already covered by the
+		// search package's own differential tests.
+		{ShardOptions: ShardOptions{Target: codegen.TargetX86, Workers: 8, NoShard: true, Configure: noPrune}},
 	} {
 		res, ok, err := l.OptimalSearch(opt)
 		if err != nil || !ok {

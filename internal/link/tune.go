@@ -47,9 +47,6 @@ type TuneOptions struct {
 	// CacheBytes sets the modelled i-cache capacity; 0 uses the
 	// interpreter default.
 	CacheBytes int
-	// NoCycleDelta forces the cycle pricer's whole-module oracle
-	// (differential; results are byte-identical).
-	NoCycleDelta bool
 }
 
 // TuneResult is the outcome of a cross-module tuning session.

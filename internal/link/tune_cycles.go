@@ -56,9 +56,6 @@ func (l *Linker) tuneCyclesMerged(opts TuneOptions, res *TuneResult) error {
 	if err != nil {
 		return err
 	}
-	if opts.NoCycleDelta {
-		pricer.SetCycleDelta(false)
-	}
 	aOpts := autotune.Options{Rounds: opts.Rounds, Workers: opts.Workers}
 	if opts.Objective == ObjectiveCycles {
 		res.Result = autotune.TuneCycles(c, pricer, initConfig(opts.Init, c), aOpts)

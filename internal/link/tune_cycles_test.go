@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"optinline/internal/codegen"
+	"optinline/internal/compile"
 )
 
 // cycleTuneOpts is the shared session shape for the cycle-objective tests:
@@ -46,14 +47,15 @@ func TestTuneCycleObjectiveIgnoresShardMode(t *testing.T) {
 }
 
 // TestTuneCycleObjectiveDeltaOracle: the linked weighted session must be
-// byte-identical with the cycle pricer's incremental engine on and off.
+// byte-identical with the compiler's delta engines (size and cycles) on and
+// off.
 func TestTuneCycleObjectiveDeltaOracle(t *testing.T) {
 	delta, err := tinyLinker(t).Tune(cycleTuneOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := cycleTuneOpts()
-	opts.NoCycleDelta = true
+	opts.Configure = func(c *compile.Compiler) { c.SetDelta(false) }
 	full, err := tinyLinker(t).Tune(opts)
 	if err != nil {
 		t.Fatal(err)

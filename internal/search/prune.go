@@ -98,8 +98,8 @@ import (
 
 // PruneStats reports the branch-and-bound layer's work: how many subtrees
 // the bound cut, how the component-optimum memo performed, and how many
-// bound handles were priced. All zero when pruning is disabled (-no-prune,
-// -no-memo, checked mode).
+// bound handles were priced. All zero when pruning is off (-no-prune, memo
+// off, checked mode).
 type PruneStats struct {
 	Enabled    bool
 	Subtrees   int64 // branches skipped by the admissible bound

@@ -41,7 +41,8 @@ func TestPrunedSearchDifferentialFuzz(t *testing.T) {
 		cp := compile.New(mod, codegen.TargetX86)
 		rp, okP := Optimal(cp, Options{MaxSpace: maxSpace})
 		cn := compile.New(mod, codegen.TargetX86)
-		rn, okN := Optimal(cn, Options{MaxSpace: maxSpace, NoPrune: true})
+		cn.SetPrune(false)
+		rn, okN := Optimal(cn, Options{MaxSpace: maxSpace})
 		if okP != okN {
 			t.Fatalf("seed %d: MaxSpace disagreement pruned=%v exhaustive=%v", seed, okP, okN)
 		}
@@ -101,7 +102,8 @@ func TestPrunedSearchSavesWork(t *testing.T) {
 		cp := compile.New(m, codegen.TargetX86)
 		rp, _ := Optimal(cp, Options{})
 		cn := compile.New(m, codegen.TargetX86)
-		rn, _ := Optimal(cn, Options{NoPrune: true})
+		cn.SetPrune(false)
+		rn, _ := Optimal(cn, Options{})
 		if rp.Size != rn.Size || rp.Config.Key() != rn.Config.Key() {
 			t.Fatalf("trial %d: pruned (%d,{%s}) != exhaustive (%d,{%s})",
 				trial, rp.Size, rp.Config.Key(), rn.Size, rn.Config.Key())

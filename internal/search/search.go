@@ -240,20 +240,17 @@ type Options struct {
 	// exceeds this many evaluations. 0 means no bound. The bound is on the
 	// full tree: pruning changes how much of it is visited, not its size.
 	MaxSpace uint64
-	// NoPrune disables the branch-and-bound layer (component memo +
-	// admissible bounds), forcing the exhaustive recursion — the
-	// differential oracle behind the CLIs' -no-prune flags. The layer is
-	// exact, so results are byte-identical either way; only the amount of
-	// work differs. Pruning is also off whenever the per-function memo is
-	// (SetMemoize(false), checked mode), which cannot price the bounds.
-	NoPrune bool
 }
 
 // Optimal searches the recursively partitioned space and returns an optimal
 // configuration for the compiler's module and target. ok is false when
 // MaxSpace is exceeded. The search is exact; by default a branch-and-bound
 // layer (see prune.go) skips subtrees that provably cannot improve on a
-// sibling and memoizes repeated component subproblems.
+// sibling and memoizes repeated component subproblems. The layer runs while
+// c.PruneActive(): c.SetPrune(false) forces the exhaustive recursion (the
+// -no-prune differential oracle; results are byte-identical, only the
+// amount of work differs), and memo-off or checked compilers, which cannot
+// price the bounds, never prune.
 func Optimal(c *compile.Compiler, opts Options) (Result, bool) {
 	g := c.Graph()
 	space, capped := RecursiveSpaceSize(g, opts.MaxSpace)
@@ -330,10 +327,11 @@ func newEvaluator(c *compile.Compiler, opts Options) *evaluator {
 	if workers > 1 {
 		ev.tokens = make(chan struct{}, workers)
 	}
-	if !opts.NoPrune {
+	if c.PruneActive() {
 		// The pruning handle is deliberately independent of the delta flag:
 		// it only needs the per-function memo, so -no-delta runs prune (and
-		// count evaluations) exactly like delta runs.
+		// count evaluations) exactly like delta runs. ev.base can be non-nil
+		// with pruning off (SetPrune(false)), so the gate is explicit.
 		root := ev.base
 		if root == nil {
 			root = c.ContribBase(callgraph.NewConfig())

@@ -9,6 +9,7 @@ import (
 	"optinline/internal/autotune"
 	"optinline/internal/callgraph"
 	"optinline/internal/compile"
+	"optinline/internal/heuristic"
 	"optinline/internal/interp"
 )
 
@@ -77,57 +78,76 @@ func TestTuneWeightedObjectiveMatchesLibrary(t *testing.T) {
 	}
 }
 
-// TestTuneCycleObjectiveDeltaOracle replays one cycles-only session with
-// incremental repricing and with the whole-module oracle; the bodies must
-// be byte-identical, and /stats must show each mode's counters.
+// TestTuneCycleObjectiveDeltaOracle checks one cycles-only /tune session,
+// priced incrementally by the daemon's pooled pricer, against the library
+// tuner on a delta-off compiler (the -no-delta whole-module oracle): every
+// reported field must agree, and /stats must show the one pooled pricer
+// repricing incrementally.
 func TestTuneCycleObjectiveDeltaOracle(t *testing.T) {
 	f := exampleSources(t)[0]
 	_, ts := newTestServer(t, Config{Jobs: 2})
+	comp := libCompiler(t, f)
+	comp.SetDelta(false)
+	pricer := libPricer(t, comp)
+	want := autotune.TuneCycles(comp, pricer, heuristic.OsConfig(comp.Module(), comp.Graph()),
+		autotune.Options{Rounds: 3, Workers: 1})
+	if ps := pricer.Stats(); ps.Repricings != 0 || ps.FullEvals == 0 {
+		t.Fatalf("library oracle priced incrementally: %+v", ps)
+	}
 
 	req := TuneRequest{Name: f.name, Source: f.src, Init: "os", Rounds: 3, Objective: "cycles"}
-	status, delta := post(t, ts.URL+"/tune", req)
+	status, body := post(t, ts.URL+"/tune", req)
 	if status != http.StatusOK {
-		t.Fatalf("delta status %d: %s", status, delta)
+		t.Fatalf("status %d: %s", status, body)
 	}
-	req.NoCycleDelta = true
-	status, oracle := post(t, ts.URL+"/tune", req)
-	if status != http.StatusOK {
-		t.Fatalf("oracle status %d: %s", status, oracle)
+	var resp TuneResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("bad JSON: %v", err)
 	}
-	if !bytes.Equal(delta, oracle) {
-		t.Errorf("bodies differ:\ndelta:  %s\noracle: %s", delta, oracle)
+	if resp.InitSize != want.InitSize || resp.InitCycles != want.InitCycles {
+		t.Errorf("init (%d,%d), oracle (%d,%d)", resp.InitSize, resp.InitCycles, want.InitSize, want.InitCycles)
+	}
+	if resp.BestSize != want.Size || resp.BestCycles != want.Cycles {
+		t.Errorf("best (%d,%d), oracle (%d,%d)", resp.BestSize, resp.BestCycles, want.Size, want.Cycles)
+	}
+	if resp.ConfigKey != want.Config.Key() {
+		t.Errorf("configKey %q, oracle %q", resp.ConfigKey, want.Config.Key())
+	}
+	if len(resp.Rounds) != len(want.Rounds) {
+		t.Fatalf("%d rounds, oracle %d", len(resp.Rounds), len(want.Rounds))
+	}
+	for i, rt := range want.Rounds {
+		got := resp.Rounds[i]
+		if got.Round != rt.Round || got.Size != rt.Size || got.Cycles != rt.Cycles || got.Inlined != rt.Inlined ||
+			got.NotInlined != rt.NotInlined || got.Toggles != rt.Toggles {
+			t.Errorf("round %d: %+v, oracle %+v", i, got, rt)
+		}
 	}
 
-	st := getStats(t, ts.URL)
-	cp := st.CyclePricers
-	// The two modes key separate pricers (SetCycleDelta is pricer-wide).
-	if cp.Built != 2 || cp.Live != 2 {
-		t.Errorf("pricer pool built=%d live=%d, want 2/2", cp.Built, cp.Live)
+	cp := getStats(t, ts.URL).CyclePricers
+	if cp.Built != 1 || cp.Live != 1 {
+		t.Errorf("pricer pool built=%d live=%d, want 1/1", cp.Built, cp.Live)
 	}
-	if cp.Repricings == 0 {
-		t.Errorf("no incremental repricings recorded")
-	}
-	if cp.FullEvals == 0 {
-		t.Errorf("no whole-module oracle evaluations recorded")
+	if cp.Repricings == 0 || cp.FullEvals != 0 {
+		t.Errorf("daemon pricer repricings=%d full evals=%d, want incremental only", cp.Repricings, cp.FullEvals)
 	}
 	if cp.ReplayEvents == 0 {
 		t.Errorf("no i-cache replay events recorded")
 	}
 
-	// Replaying the delta request reuses its pooled profile.
-	req.NoCycleDelta = false
+	// Replaying the request reuses its pooled profile.
 	status, again := post(t, ts.URL+"/tune", req)
 	if status != http.StatusOK {
 		t.Fatalf("replay status %d: %s", status, again)
 	}
-	if !bytes.Equal(again, delta) {
+	if !bytes.Equal(again, body) {
 		t.Errorf("replay body differs from first run")
 	}
-	st = getStats(t, ts.URL)
+	st := getStats(t, ts.URL)
 	if st.CyclePricers.Hits == 0 {
 		t.Errorf("replay did not hit the pricer pool (hits=%d)", st.CyclePricers.Hits)
 	}
-	if st.CyclePricers.Built != 2 {
+	if st.CyclePricers.Built != 1 {
 		t.Errorf("replay built a new pricer (built=%d)", st.CyclePricers.Built)
 	}
 }

@@ -478,15 +478,10 @@ type cycleProfile struct {
 	args       []int64
 	fuel       int64
 	cacheBytes int
-	// noDelta pricers live under their own key: SetCycleDelta is a pricer-
-	// wide switch, so the oracle mode must never flip a shared pricer that
-	// a concurrent delta-mode session is probing.
-	noDelta bool
 }
 
 func (cp cycleProfile) key(compKey string) string {
-	return fmt.Sprintf("%s/%s/%v/%d/%d/%t",
-		compKey, cp.entry, cp.args, cp.fuel, cp.cacheBytes, cp.noDelta)
+	return fmt.Sprintf("%s/%s/%v/%d/%d", compKey, cp.entry, cp.args, cp.fuel, cp.cacheBytes)
 }
 
 // cyclePricer returns the pooled pricer for (compiler, profile), building
@@ -508,14 +503,7 @@ func buildCyclePricer(comp *compile.Compiler, cp cycleProfile) (*compile.CyclePr
 	if err != nil {
 		return nil, fmt.Errorf("profile %s%v: %w", cp.entry, cp.args, err)
 	}
-	p, err := comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cp.cacheBytes})
-	if err != nil {
-		return nil, err
-	}
-	if cp.noDelta {
-		p.SetCycleDelta(false)
-	}
-	return p, nil
+	return comp.NewCyclePricer(prof, compile.CycleOptions{CacheBytes: cp.cacheBytes})
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -711,7 +699,6 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			args:       req.Args,
 			fuel:       req.Fuel,
 			cacheBytes: req.CacheBytes,
-			noDelta:    req.NoCycleDelta,
 		}
 		if cp.entry == "" {
 			cp.entry = "entry"

@@ -243,6 +243,7 @@ func TestErrorPaths(t *testing.T) {
 		{"parse failure", "/compile", `{"name":"x.ir","source":"garbage"}`, http.StatusUnprocessableEntity},
 		{"optimal over budget", "/compile", fmt.Sprintf(`{"name":%q,"source":%q,"inline":"optimal","maxSpace":1}`, f.name, f.src), http.StatusUnprocessableEntity},
 		{"tune bad init", "/tune", fmt.Sprintf(`{"name":%q,"source":%q,"init":"hot"}`, f.name, f.src), http.StatusBadRequest},
+		{"tune unknown field noCycleDelta", "/tune", fmt.Sprintf(`{"name":%q,"source":%q,"objective":"cycles","noCycleDelta":true}`, f.name, f.src), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		status, body := raw(tc.path, tc.payload)

@@ -128,12 +128,8 @@ type TuneRequest struct {
 	Args       []int64 `json:"args,omitempty"`       // profiled arguments; nil = [7]
 	Fuel       int64   `json:"fuel,omitempty"`       // profiling fuel; 0 = 20M
 	CacheBytes int     `json:"cacheBytes,omitempty"` // modelled i-cache; 0 = default
-	// NoCycleDelta prices every probe with the whole-module oracle instead
-	// of incremental repricing. Differential knob: the response must be
-	// byte-identical either way.
-	NoCycleDelta bool `json:"noCycleDelta,omitempty"`
-	Jobs         int  `json:"jobs,omitempty"`
-	DelayMs      int  `json:"delayMs,omitempty"`
+	Jobs       int     `json:"jobs,omitempty"`
+	DelayMs    int     `json:"delayMs,omitempty"`
 }
 
 // TuneRound is one round's trace (paper Table 4 shape). Cycles is present
